@@ -1,0 +1,33 @@
+"""Golden-output fence: SHA-256 digests of a default-config batch.
+
+A refactor that moves any output byte (one ulp in any formula, a changed
+float format, a reordered random draw) fails here. The digests were taken
+from the code as it stood before any engine refactor; change them only in
+a change that says which outputs it alters and why.
+"""
+
+import hashlib
+import os
+
+from strategem.experiment import BatchConfig, run_batch
+from strategem.model import SimConfig
+
+GOLDEN = {
+    "runs.csv": "daf3f441c6d515f4fc37984be30b4e130d1e49e7f6058a0984a93270ccaaab08",
+    "aggregate.csv": "657da30c25680538072a5aeb3874514eeac29b7012910af5649d05767bebcfd7",
+    "traces/run_0.csv": "ad18d941df93edecd35c86d26fb12566accc0abcdc5721bee778805a2bcd85b3",
+    "traces/run_1.csv": "799dd1f9ae02b83af1af4af9a29a337197b908fa069257973a864284323c9619",
+    "traces/run_2.csv": "2e0ff5e43bc8130ed88d156cc1760ba8fed7a6c6e90112370ea4c59299634441",
+}
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_default_batch_outputs_match_golden_digests(tmp_path):
+    batch = BatchConfig(n_runs=20, base_seed=0, sim=SimConfig(), parallelism=2)
+    run_batch(batch, out_dir=str(tmp_path), trace=True)
+    digests = {name: _sha256(os.path.join(tmp_path, name)) for name in GOLDEN}
+    assert digests == GOLDEN
