@@ -26,7 +26,6 @@ from .metrics import (
     instant_roa,
     relative_diff,
     top_k_snapshot,
-    total_performance,
 )
 from .experiment import BatchConfig, RunSummary, derive_seed, run_batch, run_one
 
@@ -60,5 +59,4 @@ __all__ = [
     "sfm_sell",
     "top_k_snapshot",
     "total_asset_value",
-    "total_performance",
 ]

@@ -20,6 +20,7 @@ from .experiment import (
     run_batch,
     run_one,
     write_aggregate_csv,
+    write_runs_csv,
 )
 
 
@@ -68,7 +69,6 @@ def _effective_config(args):
     batch = load_config(args.config)
     if args.seed is not None:
         batch.base_seed = args.seed
-        batch.sim.rng_seed = args.seed
     if args.runs is not None:
         batch.n_runs = args.runs
     if args.cycles is not None:
@@ -125,10 +125,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         batch = _effective_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
@@ -147,8 +144,6 @@ def main(argv: list[str] | None = None) -> int:
             trace_path = os.path.join(args.out, "trace.csv")
             with open(trace_path, "w") as fh:
                 summary = run_one(seed, batch.sim, run_id=0, trace_out=fh)
-            from .experiment import write_runs_csv
-
             write_runs_csv(os.path.join(args.out, "runs.csv"), [summary])
             print(f"wrote {trace_path} (seed {seed})")
             return 0

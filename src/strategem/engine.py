@@ -11,12 +11,13 @@ survival are settled, ages tick, and a report is emitted.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
+from .metrics import instant_roa
 from .model import (
     Firm,
     Market,
@@ -25,11 +26,13 @@ from .model import (
     SfmState,
     SimConfig,
     Strategy,
+    bundle_value,
     total_asset_value,
 )
 from .strategy import (
     Action,
     io_choose_market,
+    largest_holding,
     rbv_choose_market,
     shortfall_bundle,
 )
@@ -75,13 +78,10 @@ class SaleResult:
 
 @dataclass
 class CycleReport:
-    """Per-cycle trace record: firm rows plus market and SFM snapshots."""
+    """Per-cycle trace record: one row per firm, in TRACE_COLUMNS order."""
 
     cycle: int
     firm_rows: list[tuple]
-    market_states: list[tuple[int, int, float]]
-    sfm_prices: tuple[float, float, float]
-    sfm_stock: tuple[float, float, float]
 
 
 def allocate_market_profit(market: Market) -> float:
@@ -301,12 +301,7 @@ class World:
                 or deficit.blue > stock.blue
             ):
                 return False
-            cost = (
-                deficit.red * self.sfm.price_red
-                + deficit.green * self.sfm.price_green
-                + deficit.blue * self.sfm.price_blue
-            )
-            if cost > firm.cash:
+            if bundle_value(deficit, self.sfm) > firm.cash:
                 return False
             purchase = sfm_buy(firm, deficit, self.sfm)
             firm.cycle_purchases += purchase.cost
@@ -372,12 +367,7 @@ class World:
                 self._attempt_entry(firm, markets[choice.market])
             elif choice.action is Action.SELL_RESOURCE:
                 res = firm.resources
-                values = (
-                    res.red * sfm.price_red,
-                    res.green * sfm.price_green,
-                    res.blue * sfm.price_blue,
-                )
-                kind = values.index(max(values))
+                kind, _value = largest_holding(res, sfm)
                 offer = ResourceBundle(
                     res.red if kind == 0 else 0.0,
                     res.green if kind == 1 else 0.0,
@@ -404,17 +394,15 @@ class World:
                 continue
             if firm.market is not None:
                 tr = revenue[firm.market]
-                quantity = markets[firm.market].shares / markets[firm.market].occupants
             else:
                 tr = pending_output_revenue.get(firm.id, 0.0)
-                quantity = tr  # price fixed at 1
             maintenance = cfg.maintenance_rate * total_asset_value(firm, sfm)
             tc = maintenance + firm.cycle_purchases
             profit = tr - tc
             # Purchases already left the cash account in sfm_buy, so only
             # the flow part moves cash here.
             firm.cash += tr - maintenance
-            breakdowns[firm.id] = ProfitBreakdown(tr, tc, profit, quantity)
+            breakdowns[firm.id] = ProfitBreakdown(tr, tc, profit)
 
         # (6) share values and factor prices update
         for market in markets:
@@ -441,11 +429,7 @@ class World:
             if not firm.alive:
                 continue
             assets = total_asset_value(firm, sfm)
-            profit = breakdowns[firm.id].profit
-            if assets <= 0.0:
-                roa = 0.0
-            else:
-                roa = profit / assets
+            roa = instant_roa(breakdowns[firm.id].profit, assets)
             firm.instant_perf = roa
             firm.total_perf += roa
             if not survival_check(firm, assets, cfg.bankruptcy_grace):
@@ -481,14 +465,7 @@ class World:
                     firm.alive,
                 )
             )
-        market_states = [(m.id, m.occupants, m.share_value) for m in self.markets]
-        return CycleReport(
-            cycle=self.cycle,
-            firm_rows=rows,
-            market_states=market_states,
-            sfm_prices=self.sfm.prices,
-            sfm_stock=self.sfm.stock.as_tuple(),
-        )
+        return CycleReport(cycle=self.cycle, firm_rows=rows)
 
     def recount_occupants(self) -> dict[int, int]:
         """Occupant counts recomputed from firm attachments (alive only)."""
@@ -499,9 +476,11 @@ class World:
         return counts
 
 
-def _fmt(value) -> str:
+def format_field(value) -> str:
+    """One CSV field. Floats carry 17 significant digits so a replay can be
+    compared byte for byte; NaN and None are blank, bools lower case."""
     if isinstance(value, float):
-        return format(value, ".17g")
+        return "" if math.isnan(value) else format(value, ".17g")
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -514,12 +493,6 @@ def write_trace_header(out: IO[str]) -> None:
 
 
 def write_trace_rows(out: IO[str], report: CycleReport) -> None:
-    """Append one CSV row per firm; floats carry 17 significant digits so a
-    replay can be compared byte for byte."""
+    """Append one CSV row per firm."""
     for row in report.firm_rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def read_trace(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        out.write(",".join(format_field(v) for v in row) + "\n")

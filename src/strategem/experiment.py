@@ -7,6 +7,7 @@ count affects wall clock only, never output bytes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -15,7 +16,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .engine import World, write_trace_header, write_trace_rows
+from .engine import World, format_field, write_trace_header, write_trace_rows
 from .metrics import RbvProfile, classify_rbv, relative_diff, top_k_snapshot
 from .model import SimConfig, Strategy
 
@@ -47,18 +48,38 @@ CHECKPOINT_FIELDS = (
 # Columns whose sign feeds the "Nb of cases where IO > RBV" tallies.
 RELATIVE_DIFF_FIELDS = ("rd_best", "rd_avg5", "rd_avg10", "rd_all")
 
-AGGREGATE_STATISTICS = (
-    "average",
-    "st_dev",
-    "variance",
-    "median",
-    "maxima",
-    "minima",
-    "n_io_gt_rbv",
-    "n_rbv_gt_io",
-    "pct_io_gt_rbv",
-    "pct_rbv_gt_io",
-)
+
+def _spread(reduce):
+    """A summary statistic; blank for a column with no finite values."""
+    return lambda finite: float(reduce(finite)) if len(finite) else math.nan
+
+
+def _n_io(finite) -> float:
+    return float(np.count_nonzero(finite > 0))
+
+
+def _n_rbv(finite) -> float:
+    return float(np.count_nonzero(finite < 0))
+
+
+def _percent(count):
+    return lambda finite: 100.0 * count(finite) / len(finite) if len(finite) else math.nan
+
+
+# Rows of aggregate.csv, in order: statistic -> (reducer of one column's
+# finite values, whether it applies to the relative-difference columns only).
+AGGREGATE_REDUCERS = {
+    "average": (_spread(np.mean), False),
+    "st_dev": (_spread(np.std), False),
+    "variance": (_spread(np.var), False),
+    "median": (_spread(np.median), False),
+    "maxima": (_spread(np.max), False),
+    "minima": (_spread(np.min), False),
+    "n_io_gt_rbv": (_n_io, True),
+    "n_rbv_gt_io": (_n_rbv, True),
+    "pct_io_gt_rbv": (_percent(_n_io), True),
+    "pct_rbv_gt_io": (_percent(_n_rbv), True),
+}
 
 
 @dataclass
@@ -96,13 +117,12 @@ def derive_seed(base_seed: int, run_id: int) -> int:
 def _checkpoint_stats(world: World, cycle: int) -> dict[str, float]:
     firms = world.firms
     snap = top_k_snapshot(firms, 10, cycle)
-    ranking_top = max(firms, key=lambda f: (f.total_perf, -f.id))
     stats: dict[str, float] = {
         "io_in_top10": snap.io_in_top10,
         "rbv_in_top10": snap.rbv_in_top10,
         "best_io": snap.best_io,
         "best_rbv": snap.best_rbv,
-        "best_is_rbv": 1.0 if ranking_top.strategy is Strategy.RBV else 0.0,
+        "best_is_rbv": 1.0 if snap.best_is_rbv else 0.0,
         "avg5_io": snap.avg5_io,
         "avg5_rbv": snap.avg5_rbv,
         "avg10_io": snap.avg10_io,
@@ -171,11 +191,18 @@ def run_one(
     return summary
 
 
-def _run_task(args: tuple[int, int, SimConfig]) -> RunSummary:
-    run_id, base_seed, config = args
+def _run_task(args: tuple[int, int, SimConfig, str | None]) -> RunSummary:
+    """Run one batch member, writing its trace into `trace_dir` as it runs
+    when a directory is given."""
+    run_id, base_seed, config, trace_dir = args
     seed = derive_seed(base_seed, run_id)
     try:
-        return run_one(seed, config, run_id=run_id)
+        if trace_dir is None:
+            trace = contextlib.nullcontext()
+        else:
+            trace = open(os.path.join(trace_dir, f"run_{run_id}.csv"), "w")
+        with trace as fh:
+            return run_one(seed, config, run_id=run_id, trace_out=fh)
     except Exception as exc:  # surface the offending seed to the caller
         raise RuntimeError(f"run {run_id} (seed {seed}) failed: {exc}") from exc
 
@@ -191,21 +218,17 @@ def run_batch(
     run later over runs.csv reproduces aggregate.csv byte for byte.
     """
     batch.validate()
-    tasks = [(i, batch.base_seed, batch.sim) for i in range(batch.n_runs)]
+    trace_dir = None
+    if trace and out_dir is not None:
+        trace_dir = os.path.join(out_dir, "traces")
+        os.makedirs(trace_dir, exist_ok=True)
+    tasks = [(i, batch.base_seed, batch.sim, trace_dir) for i in range(batch.n_runs)]
     if batch.parallelism > 1 and batch.n_runs > 1:
         with ProcessPoolExecutor(max_workers=batch.parallelism) as pool:
             summaries = list(pool.map(_run_task, tasks, chunksize=4))
     else:
         summaries = [_run_task(t) for t in tasks]
     summaries.sort(key=lambda s: s.run_id)
-
-    if trace and out_dir is not None:
-        trace_dir = os.path.join(out_dir, "traces")
-        os.makedirs(trace_dir, exist_ok=True)
-        for summary in summaries:
-            path = os.path.join(trace_dir, f"run_{summary.run_id}.csv")
-            with open(path, "w") as fh:
-                run_one(summary.seed, batch.sim, run_id=summary.run_id, trace_out=fh)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -221,14 +244,6 @@ def run_batch(
 
 
 # -- CSV serialization -------------------------------------------------------
-
-
-def _fmt(value: float) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return format(value, ".17g")
-    return str(value)
 
 
 def _summary_columns(summaries: Sequence[RunSummary]) -> list[str]:
@@ -248,7 +263,7 @@ def write_runs_csv(path: str, summaries: Sequence[RunSummary]) -> None:
             for col in cols[2:]:
                 cycle, name = col[1:].split("_", 1)
                 stats = s.checkpoints.get(int(cycle))
-                values.append(_fmt(stats[name]) if stats else "")
+                values.append(format_field(stats[name]) if stats else "")
             fh.write(",".join(values) + "\n")
 
 
@@ -282,53 +297,18 @@ def aggregate_summaries(summaries: Sequence[RunSummary]) -> list[dict]:
     population forms, so a single run aggregates with zero spread.
     """
     cycles = sorted({c for s in summaries for c in s.checkpoints})
-    columns = []
+    rows = {stat: {"statistic": stat} for stat in AGGREGATE_REDUCERS}
     for cycle in cycles:
-        columns.extend((cycle, name) for name in CHECKPOINT_FIELDS)
-
-    rows = []
-    for stat in AGGREGATE_STATISTICS:
-        row: dict[str, float] = {"statistic": stat}
-        for cycle, name in columns:
-            col = f"c{cycle}_{name}"
+        for name in CHECKPOINT_FIELDS:
             values = np.array(
                 [s.checkpoints.get(cycle, {}).get(name, math.nan) for s in summaries]
             )
             finite = values[~np.isnan(values)]
-            if stat in ("n_io_gt_rbv", "n_rbv_gt_io", "pct_io_gt_rbv", "pct_rbv_gt_io"):
-                if name not in RELATIVE_DIFF_FIELDS:
-                    row[col] = math.nan
-                    continue
-                n_io = int(np.sum(finite > 0))
-                n_rbv = int(np.sum(finite < 0))
-                if stat == "n_io_gt_rbv":
-                    row[col] = float(n_io)
-                elif stat == "n_rbv_gt_io":
-                    row[col] = float(n_rbv)
-                elif len(finite) == 0:
-                    row[col] = math.nan
-                elif stat == "pct_io_gt_rbv":
-                    row[col] = 100.0 * n_io / len(finite)
-                else:
-                    row[col] = 100.0 * n_rbv / len(finite)
-                continue
-            if len(finite) == 0:
-                row[col] = math.nan
-                continue
-            if stat == "average":
-                row[col] = float(np.mean(finite))
-            elif stat == "st_dev":
-                row[col] = float(np.std(finite))
-            elif stat == "variance":
-                row[col] = float(np.var(finite))
-            elif stat == "median":
-                row[col] = float(np.median(finite))
-            elif stat == "maxima":
-                row[col] = float(np.max(finite))
-            else:
-                row[col] = float(np.min(finite))
-        rows.append(row)
-    return rows
+            rd_column = name in RELATIVE_DIFF_FIELDS
+            for stat, (reduce, rd_only) in AGGREGATE_REDUCERS.items():
+                value = reduce(finite) if rd_column or not rd_only else math.nan
+                rows[stat][f"c{cycle}_{name}"] = value
+    return list(rows.values())
 
 
 def write_aggregate_csv(path: str, aggregate: list[dict]) -> None:
@@ -339,5 +319,5 @@ def write_aggregate_csv(path: str, aggregate: list[dict]) -> None:
         fh.write(",".join(["statistic"] + cols) + "\n")
         for row in aggregate:
             fh.write(
-                ",".join([str(row["statistic"])] + [_fmt(row[c]) for c in cols]) + "\n"
+                ",".join([str(row["statistic"])] + [format_field(row[c]) for c in cols]) + "\n"
             )

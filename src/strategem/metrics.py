@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import Firm, Strategy
 
@@ -29,6 +29,8 @@ class StrategySnapshot:
     rbv_in_top10: int
     best_io: float
     best_rbv: float
+    # Whether the top-ranked firm of all (ties toward the lower id) is RBV.
+    best_is_rbv: bool
     avg5_io: float
     avg5_rbv: float
     avg10_io: float
@@ -38,20 +40,11 @@ class StrategySnapshot:
 
 
 def instant_roa(profit: float, asset_value: float) -> float:
-    """Profit per unit of assets; zero when the firm has no assets."""
-    if asset_value < 0:
-        raise ValueError("asset value must be >= 0")
-    if asset_value == 0:
+    """Profit per unit of assets; zero when the firm has no positive assets
+    (a firm whose assets reach zero or below dies in the same cycle)."""
+    if asset_value <= 0.0:
         return 0.0
     return profit / asset_value
-
-
-def total_performance(roa_series: Iterable[float]) -> float:
-    """Cumulative performance: the plain sum of per-cycle ROA values."""
-    total = 0.0
-    for roa in roa_series:
-        total += roa
-    return total
 
 
 def relative_diff(io_value: float, rbv_value: float) -> float:
@@ -90,6 +83,7 @@ def top_k_snapshot(firms: Sequence[Firm], k: int, cycle: int) -> StrategySnapsho
         rbv_in_top10=len(top_k) - io_count,
         best_io=io_perfs[0] if io_perfs else 0.0,
         best_rbv=rbv_perfs[0] if rbv_perfs else 0.0,
+        best_is_rbv=bool(top_k) and top_k[0].strategy is Strategy.RBV,
         avg5_io=_avg(io_perfs[:5]),
         avg5_rbv=_avg(rbv_perfs[:5]),
         avg10_io=_avg(io_perfs[:10]),

@@ -165,16 +165,11 @@ class SfmState:
 
 @dataclass
 class ProfitBreakdown:
-    """One firm's revenue/cost/profit record for a single cycle.
-
-    Goods price is fixed at 1, so total_revenue equals quantity_sold
-    numerically.
-    """
+    """One firm's revenue/cost/profit record for a single cycle."""
 
     total_revenue: float
     total_cost: float
     profit: float
-    quantity_sold: float
 
 
 @dataclass
@@ -206,7 +201,6 @@ class SimConfig:
     resource_mix_alpha: float = 0.55
     noise_amplitude: float = 0.3
     maintenance_rate: float = 0.001
-    rng_seed: int = 0
     checkpoint_cycles: tuple[int, ...] = (20, 200)
 
     # Market value dynamics
@@ -266,6 +260,17 @@ class SimConfig:
             raise ValueError("initial_cash must be >= 0")
         if self.bankruptcy_grace < 1:
             raise ValueError("bankruptcy_grace must be >= 1")
+        # Below these bounds a run divides by zero (1 + crowding * occupants),
+        # drives share values or factor prices to zero or below, or fails
+        # while the world is built.
+        if self.crowding < 0:
+            raise ValueError("crowding must be >= 0")
+        if self.value_floor <= 0:
+            raise ValueError("value_floor must be > 0")
+        if self.initial_price <= 0 or self.price_floor <= 0:
+            raise ValueError("initial_price and price_floor must be > 0")
+        if self.initial_stock < 0:
+            raise ValueError("initial_stock must be >= 0")
 
 
 def bundle_value(bundle: ResourceBundle, sfm: SfmState) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .model import Firm, Market, ResourceBundle, SfmState
+from .model import Firm, Market, ResourceBundle, SfmState, bundle_value
 
 
 class Action(Enum):
@@ -81,6 +81,18 @@ def io_choose_market(
     return MarketChoice(market=best.id, score=best_score, action=Action.ENTER)
 
 
+def barrier_deficit(firm: Firm, market: Market) -> tuple[float, float, float]:
+    """Per-type amounts (red, green, blue) by which the firm's bundle falls
+    short of the market barrier; zero where the barrier is already met."""
+    res = firm.resources
+    barrier = market.barrier
+    return (
+        pos(barrier.red - res.red),
+        pos(barrier.green - res.green),
+        pos(barrier.blue - res.blue),
+    )
+
+
 def resource_shortfall(
     firm: Firm,
     market: Market,
@@ -92,36 +104,40 @@ def resource_shortfall(
     `literal_sign` flips the orientation to pos(holding - barrier), kept
     only for comparison runs.
     """
-    r, g, b = firm.resources.red, firm.resources.green, firm.resources.blue
-    barrier = market.barrier
     if literal_sign:
-        dr = pos(r - barrier.red)
-        dg = pos(g - barrier.green)
-        db = pos(b - barrier.blue)
+        res = firm.resources
+        barrier = market.barrier
+        dr = pos(res.red - barrier.red)
+        dg = pos(res.green - barrier.green)
+        db = pos(res.blue - barrier.blue)
     else:
-        dr = pos(barrier.red - r)
-        dg = pos(barrier.green - g)
-        db = pos(barrier.blue - b)
+        dr, dg, db = barrier_deficit(firm, market)
     return math.sqrt(dr * dr + dg * dg + db * db)
 
 
 def shortfall_bundle(firm: Firm, market: Market) -> ResourceBundle:
-    """Per-type deficit between the firm's bundle and the market barrier."""
-    return ResourceBundle(
-        pos(market.barrier.red - firm.resources.red),
-        pos(market.barrier.green - firm.resources.green),
-        pos(market.barrier.blue - firm.resources.blue),
-    )
+    """The barrier deficit as a bundle the firm could buy."""
+    return ResourceBundle(*barrier_deficit(firm, market))
 
 
 def shortfall_cost(firm: Firm, market: Market, sfm: SfmState) -> float:
     """Purchase cost, at current prices, of closing the barrier deficit."""
-    deficit = shortfall_bundle(firm, market)
-    return (
-        deficit.red * sfm.price_red
-        + deficit.green * sfm.price_green
-        + deficit.blue * sfm.price_blue
+    return bundle_value(shortfall_bundle(firm, market), sfm)
+
+
+def largest_holding(resources: ResourceBundle, sfm: SfmState) -> tuple[int, float]:
+    """The resource type worth most at current prices, as (kind, value).
+
+    Kind 0, 1, 2 is red, green, blue; ties go to the earlier type. This is
+    the holding an RBV firm liquidates when it sells resources.
+    """
+    values = (
+        resources.red * sfm.price_red,
+        resources.green * sfm.price_green,
+        resources.blue * sfm.price_blue,
     )
+    value = max(values)
+    return values.index(value), value
 
 
 def rbv_candidate(
@@ -175,12 +191,7 @@ def rbv_choose_market(
     cost = shortfall_cost(firm, candidate, sfm)
     enter_value = expected_profit - cost if cost <= firm.cash else -math.inf
 
-    res = firm.resources
-    sell_resource_value = max(
-        res.red * sfm.price_red,
-        res.green * sfm.price_green,
-        res.blue * sfm.price_blue,
-    )
+    _kind, sell_resource_value = largest_holding(firm.resources, sfm)
     sell_output_value = output_fraction * expected_profit
 
     best_value = max(enter_value, sell_resource_value, sell_output_value)

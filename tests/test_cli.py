@@ -2,7 +2,18 @@
 
 import os
 
+import pytest
+
 from strategem.cli import main
+
+# Values validate() rejects; each must fail before any run, with exit 1.
+OUT_OF_RANGE = (
+    "sim.crowding=-0.2",
+    "sim.initial_price=0",
+    "sim.price_floor=0",
+    "sim.value_floor=-1",
+    "sim.initial_stock=-1",
+)
 
 
 class TestValidate:
@@ -25,6 +36,14 @@ class TestValidate:
         path.write_text("[sim]\nn_firms = lots\n")
         assert main(["validate", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("override", OUT_OF_RANGE)
+    def test_out_of_range_value_exits_1(self, tmp_path, capsys, command, override):
+        out = str(tmp_path / "out")
+        assert main([command, "--set", override, "--out", out]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestRun:
@@ -83,6 +102,7 @@ class TestBatchAndAggregate:
     def test_bad_override_exits_1(self, capsys):
         assert main(["batch", "--set", "garbage"]) == 1
         assert main(["batch", "--set", "sim.bogus=1"]) == 1
+        assert main(["validate", "--set", "sim.rng_seed=5"]) == 1  # no such key
 
 
 class TestUsage:

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from strategem import experiment
 from strategem.experiment import (
     BatchConfig,
     RunSummary,
@@ -142,6 +143,13 @@ class TestAggregate:
         assert aggregate_summaries(reloaded) == aggregate
 
 
+def _traced_batch(out, workers):
+    """Trace file name -> bytes of a small traced batch."""
+    batch = BatchConfig(n_runs=6, base_seed=5, sim=small_sim(), parallelism=workers)
+    run_batch(batch, out_dir=str(out), trace=True)
+    return {p.name: p.read_bytes() for p in (out / "traces").iterdir()}
+
+
 class TestRunBatch:
     def test_order_by_run_id_and_seed_contract(self, tmp_path):
         batch = BatchConfig(n_runs=5, base_seed=3, sim=small_sim())
@@ -162,6 +170,20 @@ class TestRunBatch:
                 for name in ("runs.csv", "aggregate.csv")
             }
         assert outputs[1] == outputs[2]
+
+    def test_traces_written_during_the_only_pass(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_run_one(*args, **kwargs):
+            calls.append(kwargs["run_id"])
+            return run_one(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(experiment, "run_one", counting_run_one)
+            serial = _traced_batch(tmp_path / "w1", workers=1)
+        assert calls == list(range(6))  # one simulation per run, trace included
+        assert sorted(serial) == sorted(f"run_{i}.csv" for i in range(6))
+        assert _traced_batch(tmp_path / "w2", workers=2) == serial
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

@@ -115,6 +115,11 @@ class TestSimConfig:
             {"share_value_range": (0.0, 1.0)},
             {"initial_cash": -1.0},
             {"bankruptcy_grace": 0},
+            {"crowding": -0.2},  # 1 + crowding * occupants can reach 0
+            {"initial_price": 0.0},
+            {"price_floor": 0.0},
+            {"value_floor": -1.0, "value_noise": 1.5},  # negative share values
+            {"initial_stock": -1.0},
         ],
     )
     def test_rejects_invalid(self, kwargs):
