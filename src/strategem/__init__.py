@@ -3,7 +3,6 @@
 from .model import (
     Firm,
     Market,
-    ProfitBreakdown,
     ResourceBundle,
     SfmState,
     SimConfig,
@@ -35,7 +34,6 @@ __all__ = [
     "Firm",
     "Market",
     "MarketChoice",
-    "ProfitBreakdown",
     "RbvProfile",
     "ResourceBundle",
     "RunSummary",

@@ -6,7 +6,7 @@ from the same config and seed produce bit-identical histories.
 
 Cycle order: firms act (choose / trade / enter) in ascending id, markets
 pay out, costs are charged, share values and factor prices update, ROA and
-survival are settled, ages tick, and a report is emitted.
+survival are settled, and ages tick.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .metrics import instant_roa
 from .model import (
     Firm,
     Market,
-    ProfitBreakdown,
     ResourceBundle,
     SfmState,
     SimConfig,
@@ -74,14 +73,6 @@ class SaleResult:
 
     sold: ResourceBundle
     proceeds: float
-
-
-@dataclass
-class CycleReport:
-    """Per-cycle trace record: one row per firm, in TRACE_COLUMNS order."""
-
-    cycle: int
-    firm_rows: list[tuple]
 
 
 def allocate_market_profit(market: Market) -> float:
@@ -304,7 +295,7 @@ class World:
             if bundle_value(deficit, self.sfm) > firm.cash:
                 return False
             purchase = sfm_buy(firm, deficit, self.sfm)
-            firm.cycle_purchases += purchase.cost
+            firm.cost += purchase.cost
             self._demand_red += purchase.bought.red
             self._demand_green += purchase.bought.green
             self._demand_blue += purchase.bought.blue
@@ -319,7 +310,7 @@ class World:
         market.occupants += 1
         return True
 
-    def step_cycle(self) -> CycleReport:
+    def step_cycle(self) -> None:
         cfg = self.config
         rng = self.rng
         markets = self.markets
@@ -330,16 +321,16 @@ class World:
         self._supply_red = self._supply_green = self._supply_blue = 0.0
         self._demand_eps_weight = 0.0
         self._demand_units = 0.0
-        pending_output_revenue: dict[int, float] = {}
 
         # (1)-(3) firms act in ascending id against live market state: each
         # decision sees the occupancy left by every earlier mover in the
         # same cycle, so a crowd disperses instead of piling onto one
         # opportunity.
         for firm in self.firms:
+            firm.revenue = firm.cost = firm.profit = 0.0
             if not firm.alive:
+                firm.instant_perf = 0.0
                 continue
-            firm.cycle_purchases = 0.0
             eps = self._estimate_epsilon(firm)
             if firm.strategy is Strategy.IO:
                 if eps > 0.0:
@@ -378,7 +369,7 @@ class World:
                 self._supply_green += sale.sold.green
                 self._supply_blue += sale.sold.blue
             elif choice.action is Action.SELL_OUTPUT:
-                pending_output_revenue[firm.id] = choice.score
+                firm.revenue = choice.score
 
         # (4) markets allocate revenue
         revenue: dict[int, float] = {}
@@ -388,21 +379,17 @@ class World:
             revenue[market.id] = allocate_market_profit(market)
 
         # (5) costs charged, profits booked
-        breakdowns: dict[int, ProfitBreakdown] = {}
         for firm in self.firms:
             if not firm.alive:
                 continue
             if firm.market is not None:
-                tr = revenue[firm.market]
-            else:
-                tr = pending_output_revenue.get(firm.id, 0.0)
+                firm.revenue = revenue[firm.market]
             maintenance = cfg.maintenance_rate * total_asset_value(firm, sfm)
-            tc = maintenance + firm.cycle_purchases
-            profit = tr - tc
+            firm.cost += maintenance
+            firm.profit = firm.revenue - firm.cost
             # Purchases already left the cash account in sfm_buy, so only
             # the flow part moves cash here.
-            firm.cash += tr - maintenance
-            breakdowns[firm.id] = ProfitBreakdown(tr, tc, profit)
+            firm.cash += firm.revenue - maintenance
 
         # (6) share values and factor prices update
         for market in markets:
@@ -429,7 +416,7 @@ class World:
             if not firm.alive:
                 continue
             assets = total_asset_value(firm, sfm)
-            roa = instant_roa(breakdowns[firm.id].profit, assets)
+            roa = instant_roa(firm.profit, assets)
             firm.instant_perf = roa
             firm.total_perf += roa
             if not survival_check(firm, assets, cfg.bankruptcy_grace):
@@ -439,33 +426,6 @@ class World:
                 if firm.market is not None:
                     markets[firm.market].occupants -= 1
             firm.age += 1
-
-        return self._make_report(breakdowns)
-
-    def _make_report(self, breakdowns: dict[int, ProfitBreakdown]) -> CycleReport:
-        rows = []
-        for firm in self.firms:
-            bd = breakdowns.get(firm.id)
-            rows.append(
-                (
-                    self.run_id,
-                    self.cycle,
-                    firm.id,
-                    firm.strategy.value,
-                    firm.market,
-                    firm.cash,
-                    firm.resources.red,
-                    firm.resources.green,
-                    firm.resources.blue,
-                    bd.total_revenue if bd else 0.0,
-                    bd.total_cost if bd else 0.0,
-                    bd.profit if bd else 0.0,
-                    firm.instant_perf if bd else 0.0,
-                    firm.total_perf,
-                    firm.alive,
-                )
-            )
-        return CycleReport(cycle=self.cycle, firm_rows=rows)
 
     def recount_occupants(self) -> dict[int, int]:
         """Occupant counts recomputed from firm attachments (alive only)."""
@@ -492,7 +452,25 @@ def write_trace_header(out: IO[str]) -> None:
     out.write(",".join(TRACE_COLUMNS) + "\n")
 
 
-def write_trace_rows(out: IO[str], report: CycleReport) -> None:
-    """Append one CSV row per firm."""
-    for row in report.firm_rows:
+def write_trace_rows(out: IO[str], world: World) -> None:
+    """Append one CSV row per firm of `world`, in TRACE_COLUMNS order."""
+    for firm in world.firms:
+        res = firm.resources
+        row = (
+            world.run_id,
+            world.cycle,
+            firm.id,
+            firm.strategy.value,
+            firm.market,
+            firm.cash,
+            res.red,
+            res.green,
+            res.blue,
+            firm.revenue,
+            firm.cost,
+            firm.profit,
+            firm.instant_perf,
+            firm.total_perf,
+            firm.alive,
+        )
         out.write(",".join(format_field(v) for v in row) + "\n")

@@ -168,14 +168,13 @@ def run_one(
     With n_cycles = 0 the summary holds a single cycle-0 snapshot of the
     initialized world. Traces always start with the initialization rows.
     """
-    config.validate()
     rng = np.random.Generator(np.random.PCG64(seed))
     world = World(config, rng, run_id=run_id)
     summary = RunSummary(run_id=run_id, seed=seed)
 
     if trace_out is not None:
         write_trace_header(trace_out)
-        write_trace_rows(trace_out, world._make_report({}))
+        write_trace_rows(trace_out, world)
 
     if config.n_cycles == 0:
         summary.checkpoints[0] = _checkpoint_stats(world, 0)
@@ -183,9 +182,9 @@ def run_one(
 
     checkpoints = set(config.checkpoint_cycles)
     for cycle in range(1, config.n_cycles + 1):
-        report = world.step_cycle()
+        world.step_cycle()
         if trace_out is not None:
-            write_trace_rows(trace_out, report)
+            write_trace_rows(trace_out, world)
         if cycle in checkpoints:
             summary.checkpoints[cycle] = _checkpoint_stats(world, cycle)
     return summary

@@ -61,8 +61,15 @@ class Firm:
 
     `total_perf` is maintained as the exact running sum of `instant_perf`
     over cycles; the engine never recomputes it from scratch. A dead firm
-    (alive=False) is frozen: it takes no actions and its performances stop
-    moving.
+    (alive=False) is frozen: it takes no actions, and its cash, bundle,
+    market tag and `total_perf` stop moving.
+
+    `revenue`, `cost` and `profit` hold the current cycle's booking:
+    revenue from the firm's market or an output sale, cost as maintenance
+    plus resource purchases, and profit = revenue - cost. The engine zeroes
+    them on every firm at the start of each cycle. Once a firm has been dead
+    for a full cycle they read 0.0, and so does `instant_perf`, while
+    `total_perf` stays frozen.
     """
 
     __slots__ = (
@@ -76,7 +83,9 @@ class Firm:
         "age",
         "alive",
         "negative_cash_streak",
-        "cycle_purchases",
+        "revenue",
+        "cost",
+        "profit",
     )
 
     def __init__(
@@ -97,8 +106,9 @@ class Firm:
         self.alive = True
         # Consecutive cycles spent with cash <= 0; drives the bankruptcy rule.
         self.negative_cash_streak = 0
-        # Resource purchase outlay booked so far in the current cycle.
-        self.cycle_purchases = 0.0
+        self.revenue = 0.0
+        self.cost = 0.0
+        self.profit = 0.0
 
     def __repr__(self):
         return (
@@ -161,15 +171,6 @@ class SfmState:
 
     def __repr__(self):
         return f"SfmState(prices={self.prices}, stock={self.stock!r})"
-
-
-@dataclass
-class ProfitBreakdown:
-    """One firm's revenue/cost/profit record for a single cycle."""
-
-    total_revenue: float
-    total_cost: float
-    profit: float
 
 
 @dataclass

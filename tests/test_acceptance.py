@@ -183,12 +183,12 @@ def test_criterion_6_conservation_and_bookkeeping(monkeypatch):
         prev_perf = {f.id: 0.0 for f in world.firms}
         for _ in range(cfg.n_cycles):
             v_pre = {m.id: m.share_value for m in world.markets}
-            report = world.step_cycle()
+            world.step_cycle()
             # revenue conservation: per-market payouts sum to NP * v(t)
             sums: dict[int, float] = {}
             active: set[int] = set()
-            for row in report.firm_rows:
-                market_id, tr, alive = row[4], row[9], row[14]
+            for firm in world.firms:
+                market_id, tr, alive = firm.market, firm.revenue, firm.alive
                 if market_id is not None:
                     sums[market_id] = sums.get(market_id, 0.0) + tr
                     # dead corpses keep their market tag but earn nothing;

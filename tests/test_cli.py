@@ -99,9 +99,11 @@ class TestBatchAndAggregate:
         )
         assert code == 0
 
-    def test_bad_override_exits_1(self, capsys):
-        assert main(["batch", "--set", "garbage"]) == 1
-        assert main(["batch", "--set", "sim.bogus=1"]) == 1
+    def test_bad_override_exits_1(self, tmp_path, capsys):
+        # a tiny batch, so a wrongly accepted override cannot start a big one
+        small = ["--out", str(tmp_path / "out"), "--runs", "1", "--cycles", "1"]
+        assert main(["batch", *small, "--set", "garbage"]) == 1
+        assert main(["batch", *small, "--set", "sim.bogus=1"]) == 1
         assert main(["validate", "--set", "sim.rng_seed=5"]) == 1  # no such key
 
 

@@ -1,6 +1,9 @@
 """Engine mechanics: allocation, SFM trades, price/value updates, survival,
 the per-cycle loop, and whole-run invariants."""
 
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from strategem.engine import (
     survival_check,
     update_share_value,
     update_sfm_prices,
+    write_trace_rows,
 )
 from strategem.model import (
     Firm,
@@ -252,17 +256,19 @@ class TestStepCycle:
         world = _controlled_world(value_noise=0.0, crowding=0.5)
         world.firms = []
         world.markets[0].share_value = 0.3
-        report = world.step_cycle()
-        assert report.firm_rows == []
+        world.step_cycle()
         assert world.markets[0].share_value == pytest.approx(2.0)
 
     def test_determinism_same_seed_same_reports(self):
-        rows_a, rows_b = [], []
-        for rows in (rows_a, rows_b):
+        traces = []
+        for _ in range(2):
             world = make_world(seed=11)
+            out = io.StringIO()
             for _ in range(30):
-                rows.append(world.step_cycle().firm_rows)
-        assert rows_a == rows_b
+                world.step_cycle()
+                write_trace_rows(out, world)
+            traces.append(out.getvalue())
+        assert traces[0] == traces[1]
 
     def test_entry_refused_without_full_shortfall_budget(self):
         world = _controlled_world(
@@ -304,3 +310,67 @@ class TestWholeRunInvariants:
             assert all(m.occupants == recount[m.id] for m in world.markets)
         # strategy tags never mutate
         assert [f.strategy for f in world.firms] == tags
+
+
+def _resource_totals(world):
+    """Per-type totals held by all firms (dead ones too) plus the stock."""
+    totals = list(world.sfm.stock.as_tuple())
+    for firm in world.firms:
+        for i, q in enumerate(firm.resources.as_tuple()):
+            totals[i] += q
+    return tuple(totals)
+
+
+# Small configs that validate() accepts, with the unbounded knobs drawn
+# well past their defaults.
+small_configs = st.builds(
+    SimConfig,
+    n_firms=st.sampled_from([2, 4, 10, 20]),
+    n_markets=st.integers(1, 5),
+    n_cycles=st.just(25),
+    checkpoint_cycles=st.just(()),
+    initial_cash=st.floats(0.0, 2000.0),
+    noise_amplitude=st.floats(0.0, 0.99),
+    maintenance_rate=st.floats(0.0, 0.5),
+    crowding=st.floats(0.0, 2.0),
+    value_noise=st.floats(0.0, 2.0),
+    value_floor=st.floats(1e-3, 1.0),
+    initial_price=st.floats(1e-3, 10.0),
+    price_floor=st.floats(1e-3, 1.0),
+    initial_stock=st.floats(0.0, 1e4),
+    price_alpha=st.floats(-2.0, 5.0),
+    output_fraction=st.floats(-1.0, 2.0),
+    bankruptcy_grace=st.integers(1, 10),
+    literal_distance_sign=st.booleans(),
+)
+
+
+class TestRandomConfigInvariants:
+    @given(small_configs, st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_invariants_hold_every_cycle(self, cfg, seed):
+        world = World(cfg, np.random.Generator(np.random.PCG64(seed)))
+        base_totals = _resource_totals(world)
+        for _ in range(cfg.n_cycles):
+            v_pre = {m.id: m.share_value for m in world.markets}
+            world.step_cycle()
+            for firm in world.firms:
+                assert min(firm.resources.as_tuple()) >= 0.0
+                assert math.isfinite(firm.cash)
+                assert math.isfinite(firm.instant_perf)
+                assert math.isfinite(firm.total_perf)
+            assert all(m.share_value > 0.0 for m in world.markets)
+            assert min(world.sfm.prices) > 0.0
+            recount = world.recount_occupants()
+            assert all(m.occupants == recount[m.id] for m in world.markets)
+            for base, now in zip(base_totals, _resource_totals(world)):
+                assert now == pytest.approx(base, rel=1e-9, abs=1e-9)
+            # each market that paid an occupant paid out exactly NP * v
+            sums: dict[int, float] = {}
+            for firm in world.firms:
+                if firm.market is not None and (firm.alive or firm.revenue != 0.0):
+                    sums[firm.market] = sums.get(firm.market, 0.0) + firm.revenue
+            for market_id, paid in sums.items():
+                market = world.markets[market_id]
+                expected = market.shares * v_pre[market_id]
+                assert paid == pytest.approx(expected, rel=1e-12)
