@@ -1,4 +1,6 @@
-"""Golden-output fence: SHA-256 digests of a default-config batch.
+"""Golden-output fence: SHA-256 digests of a default-config batch, and of
+a short traced run whose initial bundles and barriers are drawn uniformly
+from the cube ranges instead of as Dirichlet mixes.
 
 A refactor that moves any output byte (one ulp in any formula, a changed
 float format, a reordered random draw) fails here. The digests were taken
@@ -7,9 +9,10 @@ a change that says which outputs it alters and why.
 """
 
 import hashlib
+import io
 import os
 
-from strategem.experiment import BatchConfig, run_batch
+from strategem.experiment import BatchConfig, derive_seed, run_batch, run_one
 from strategem.model import SimConfig
 
 GOLDEN = {
@@ -19,6 +22,12 @@ GOLDEN = {
     "traces/run_1.csv": "799dd1f9ae02b83af1af4af9a29a337197b908fa069257973a864284323c9619",
     "traces/run_2.csv": "2e0ff5e43bc8130ed88d156cc1760ba8fed7a6c6e90112370ea4c59299634441",
 }
+
+# Trace of run 0 (seed derive_seed(0, 0)), 20 cycles, default config except
+# barrier_sum_range = resource_sum_range = None.
+GOLDEN_UNIFORM_CUBE_TRACE = (
+    "0b786974794bc6472475a4db88152136a3e64b2440e0091a38a0fcfdf78d689c"
+)
 
 
 def _sha256(path):
@@ -31,3 +40,11 @@ def test_default_batch_outputs_match_golden_digests(tmp_path):
     run_batch(batch, out_dir=str(tmp_path), trace=True)
     digests = {name: _sha256(os.path.join(tmp_path, name)) for name in GOLDEN}
     assert digests == GOLDEN
+
+
+def test_uniform_cube_trace_matches_golden_digest():
+    config = SimConfig(n_cycles=20, barrier_sum_range=None, resource_sum_range=None)
+    out = io.StringIO()
+    run_one(derive_seed(0, 0), config, run_id=0, trace_out=out)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == GOLDEN_UNIFORM_CUBE_TRACE
