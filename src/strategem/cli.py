@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "aggregate":
             try:
                 summaries = read_runs_csv(args.runs_csv)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 print(f"error: cannot read {args.runs_csv}: {exc}", file=sys.stderr)
                 return 1
             aggregate = aggregate_summaries(summaries)

@@ -12,7 +12,6 @@ survival are settled, and ages tick.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -59,22 +58,6 @@ TRACE_COLUMNS = (
 )
 
 
-@dataclass
-class PurchaseResult:
-    """Outcome of a factor-market buy: what moved and what it cost."""
-
-    bought: ResourceBundle
-    cost: float
-
-
-@dataclass
-class SaleResult:
-    """Outcome of a factor-market sale."""
-
-    sold: ResourceBundle
-    proceeds: float
-
-
 def allocate_market_profit(market: Market) -> float:
     """Equal per-occupant revenue share: shares * value / occupants.
 
@@ -100,54 +83,41 @@ def update_share_value(
     return max(value, floor)
 
 
-def sfm_buy(firm: Firm, wanted: ResourceBundle, sfm: SfmState) -> PurchaseResult:
-    """Buy up to `wanted` from the factor market within cash and stock.
+def sfm_buy(firm: Firm, wanted: ResourceBundle, sfm: SfmState) -> float | None:
+    """Buy all of `wanted` from the factor market, or nothing.
 
-    Transfers min(wanted, stock) per type when the full cost fits within
-    cash; otherwise the largest affordable uniform fraction of that amount.
-    Never drives cash below zero.
+    Returns None and moves nothing when any component of `wanted` exceeds
+    the stock or its cost at current prices exceeds the firm's cash;
+    otherwise moves the whole bundle and returns its cost. Cash never goes
+    below zero, since cost <= cash.
     """
     stock = sfm.stock
-    qr = min(wanted.red, stock.red)
-    qg = min(wanted.green, stock.green)
-    qb = min(wanted.blue, stock.blue)
-    cost = qr * sfm.price_red + qg * sfm.price_green + qb * sfm.price_blue
-    if cost <= 0.0:
-        return PurchaseResult(ResourceBundle(), 0.0)
+    if wanted.red > stock.red or wanted.green > stock.green or wanted.blue > stock.blue:
+        return None
+    cost = bundle_value(wanted, sfm)
     if cost > firm.cash:
-        if firm.cash <= 0.0:
-            return PurchaseResult(ResourceBundle(), 0.0)
-        frac = firm.cash / cost
-        qr *= frac
-        qg *= frac
-        qb *= frac
-        cost = firm.cash
-    stock.red -= qr
-    stock.green -= qg
-    stock.blue -= qb
+        return None
+    stock.red -= wanted.red
+    stock.green -= wanted.green
+    stock.blue -= wanted.blue
     res = firm.resources
-    res.red += qr
-    res.green += qg
-    res.blue += qb
+    res.red += wanted.red
+    res.green += wanted.green
+    res.blue += wanted.blue
     firm.cash -= cost
-    if firm.cash < 0.0:  # guard against rounding in the fractional branch
-        firm.cash = 0.0
-    return PurchaseResult(ResourceBundle(qr, qg, qb), cost)
+    return cost
 
 
-def sfm_sell(firm: Firm, offered: ResourceBundle, sfm: SfmState) -> SaleResult:
-    """Sell `offered` to the factor market at current prices.
+def sfm_sell(firm: Firm, offered: ResourceBundle, sfm: SfmState) -> float:
+    """Sell all of `offered` to the factor market at current prices and
+    return the proceeds.
 
     Offers exceeding the firm's holdings are rejected.
     """
     res = firm.resources
     if offered.red > res.red or offered.green > res.green or offered.blue > res.blue:
         raise ValueError("cannot sell more than the firm holds")
-    proceeds = (
-        offered.red * sfm.price_red
-        + offered.green * sfm.price_green
-        + offered.blue * sfm.price_blue
-    )
+    proceeds = bundle_value(offered, sfm)
     res.red -= offered.red
     res.green -= offered.green
     res.blue -= offered.blue
@@ -156,7 +126,7 @@ def sfm_sell(firm: Firm, offered: ResourceBundle, sfm: SfmState) -> SaleResult:
     stock.green += offered.green
     stock.blue += offered.blue
     firm.cash += proceeds
-    return SaleResult(offered.copy(), proceeds)
+    return proceeds
 
 
 def update_sfm_prices(
@@ -194,6 +164,23 @@ def survival_check(firm: Firm, asset_value: float, grace: int) -> bool:
     return True
 
 
+def _draw_bundle(
+    rng: np.random.Generator,
+    cube: tuple[float, float],
+    sum_range: tuple[float, float] | None,
+    mix_alpha: float,
+) -> ResourceBundle:
+    """An initial bundle or barrier: a Dirichlet(mix_alpha) mix scaled to a
+    total drawn from `sum_range`, or, with no sum range, each component
+    drawn uniformly from `cube`."""
+    if sum_range is not None:
+        total = rng.uniform(*sum_range)
+        mix = rng.dirichlet((mix_alpha, mix_alpha, mix_alpha))
+        return ResourceBundle(total * mix[0], total * mix[1], total * mix[2])
+    lo, hi = cube
+    return ResourceBundle(rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi))
+
+
 class World:
     """All mutable state for one run plus its RNG stream."""
 
@@ -213,57 +200,33 @@ class World:
             price_green=config.initial_price,
             price_blue=config.initial_price,
         )
-        self._demand_red = self._demand_green = self._demand_blue = 0.0
-        self._supply_red = self._supply_green = self._supply_blue = 0.0
-        self._demand_eps_weight = 0.0
-        self._demand_units = 0.0
 
     def _init_markets(self) -> list[Market]:
         cfg = self.config
         rng = self.rng
-        lo, hi = cfg.barrier_range
         vlo, vhi = cfg.share_value_range
         sizes = list(cfg.market_size_choices)
         markets = []
         for j in range(cfg.n_markets):
             shares = sizes[rng.integers(0, len(sizes))]
             value = rng.uniform(vlo, vhi)
-            if cfg.barrier_sum_range is not None:
-                slo, shi = cfg.barrier_sum_range
-                total = rng.uniform(slo, shi)
-                a = cfg.barrier_mix_alpha
-                mix = rng.dirichlet((a, a, a))
-                barrier = ResourceBundle(
-                    total * mix[0], total * mix[1], total * mix[2]
-                )
-            else:
-                barrier = ResourceBundle(
-                    rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi)
-                )
+            barrier = _draw_bundle(
+                rng, cfg.barrier_range, cfg.barrier_sum_range, cfg.barrier_mix_alpha
+            )
             markets.append(Market(j, int(shares), value, barrier))
         return markets
 
     def _init_firms(self) -> list[Firm]:
         cfg = self.config
         rng = self.rng
-        lo, hi = cfg.resource_init_range
         half = cfg.n_firms // 2
         tags = np.array([0] * half + [1] * (cfg.n_firms - half))
         rng.shuffle(tags)
         firms = []
         for i in range(cfg.n_firms):
-            if cfg.resource_sum_range is not None:
-                slo, shi = cfg.resource_sum_range
-                total = rng.uniform(slo, shi)
-                a = cfg.resource_mix_alpha
-                mix = rng.dirichlet((a, a, a))
-                bundle = ResourceBundle(
-                    total * mix[0], total * mix[1], total * mix[2]
-                )
-            else:
-                bundle = ResourceBundle(
-                    rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi)
-                )
+            bundle = _draw_bundle(
+                rng, cfg.resource_init_range, cfg.resource_sum_range, cfg.resource_mix_alpha
+            )
             strategy = Strategy.IO if tags[i] == 0 else Strategy.RBV
             firms.append(Firm(i, strategy, cfg.initial_cash, bundle))
         return firms
@@ -282,24 +245,16 @@ class World:
         """
         deficit = shortfall_bundle(firm, market)
         if deficit.red > 0 or deficit.green > 0 or deficit.blue > 0:
-            # A firm that cannot afford (or the market cannot supply) the
-            # whole deficit stays out this cycle and retries later; no
-            # partial siege purchases.
-            stock = self.sfm.stock
-            if (
-                deficit.red > stock.red
-                or deficit.green > stock.green
-                or deficit.blue > stock.blue
-            ):
+            # A firm that cannot buy the whole deficit stays out this cycle
+            # and retries later; no partial siege purchases.
+            cost = sfm_buy(firm, deficit, self.sfm)
+            if cost is None:
                 return False
-            if bundle_value(deficit, self.sfm) > firm.cash:
-                return False
-            purchase = sfm_buy(firm, deficit, self.sfm)
-            firm.cost += purchase.cost
-            self._demand_red += purchase.bought.red
-            self._demand_green += purchase.bought.green
-            self._demand_blue += purchase.bought.blue
-            units = purchase.bought.red + purchase.bought.green + purchase.bought.blue
+            firm.cost += cost
+            self._demand_red += deficit.red
+            self._demand_green += deficit.green
+            self._demand_blue += deficit.blue
+            units = deficit.red + deficit.green + deficit.blue
             self._demand_eps_weight += units * self._estimate_epsilon(firm)
             self._demand_units += units
         if not firm.resources.dominates(market.barrier, _BARRIER_TOL):
@@ -364,10 +319,10 @@ class World:
                     res.green if kind == 1 else 0.0,
                     res.blue if kind == 2 else 0.0,
                 )
-                sale = sfm_sell(firm, offer, sfm)
-                self._supply_red += sale.sold.red
-                self._supply_green += sale.sold.green
-                self._supply_blue += sale.sold.blue
+                sfm_sell(firm, offer, sfm)
+                self._supply_red += offer.red
+                self._supply_green += offer.green
+                self._supply_blue += offer.blue
             elif choice.action is Action.SELL_OUTPUT:
                 firm.revenue = choice.score
 

@@ -245,33 +245,44 @@ def run_batch(
 # -- CSV serialization -------------------------------------------------------
 
 
-def _summary_columns(summaries: Sequence[RunSummary]) -> list[str]:
-    cycles = sorted({c for s in summaries for c in s.checkpoints})
-    cols = ["run_id", "seed"]
-    for cycle in cycles:
-        cols.extend(f"c{cycle}_{name}" for name in CHECKPOINT_FIELDS)
-    return cols
+def _checkpoint_columns(summaries: Sequence[RunSummary]):
+    """Yield (column, cycle, field name) for every per-checkpoint column of
+    runs.csv and aggregate.csv, in CSV order."""
+    for cycle in sorted({c for s in summaries for c in s.checkpoints}):
+        for name in CHECKPOINT_FIELDS:
+            yield f"c{cycle}_{name}", cycle, name
 
 
 def write_runs_csv(path: str, summaries: Sequence[RunSummary]) -> None:
-    cols = _summary_columns(summaries)
+    columns = list(_checkpoint_columns(summaries))
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(["run_id", "seed"] + [col for col, _, _ in columns]) + "\n")
         for s in summaries:
             values = [str(s.run_id), str(s.seed)]
-            for col in cols[2:]:
-                cycle, name = col[1:].split("_", 1)
-                stats = s.checkpoints.get(int(cycle))
+            for _, cycle, name in columns:
+                stats = s.checkpoints.get(cycle)
                 values.append(format_field(stats[name]) if stats else "")
             fh.write(",".join(values) + "\n")
 
 
 def read_runs_csv(path: str) -> list[RunSummary]:
+    """Parse a runs.csv back into summaries.
+
+    Raises ValueError, naming the line, when the header lacks `run_id` or
+    `seed` or a row's field count differs from the header's.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        for required in ("run_id", "seed"):
+            if required not in header:
+                raise ValueError(f"line 1: no {required!r} column")
         summaries = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
+            if len(parts) != len(header):
+                raise ValueError(
+                    f"line {lineno}: {len(parts)} fields, header has {len(header)}"
+                )
             record = dict(zip(header, parts))
             summary = RunSummary(
                 run_id=int(record["run_id"]), seed=int(record["seed"])
@@ -295,18 +306,16 @@ def aggregate_summaries(summaries: Sequence[RunSummary]) -> list[dict]:
     Statistics skip missing (blank) values; st.dev and variance are the
     population forms, so a single run aggregates with zero spread.
     """
-    cycles = sorted({c for s in summaries for c in s.checkpoints})
     rows = {stat: {"statistic": stat} for stat in AGGREGATE_REDUCERS}
-    for cycle in cycles:
-        for name in CHECKPOINT_FIELDS:
-            values = np.array(
-                [s.checkpoints.get(cycle, {}).get(name, math.nan) for s in summaries]
-            )
-            finite = values[~np.isnan(values)]
-            rd_column = name in RELATIVE_DIFF_FIELDS
-            for stat, (reduce, rd_only) in AGGREGATE_REDUCERS.items():
-                value = reduce(finite) if rd_column or not rd_only else math.nan
-                rows[stat][f"c{cycle}_{name}"] = value
+    for col, cycle, name in _checkpoint_columns(summaries):
+        values = np.array(
+            [s.checkpoints.get(cycle, {}).get(name, math.nan) for s in summaries]
+        )
+        finite = values[~np.isnan(values)]
+        rd_column = name in RELATIVE_DIFF_FIELDS
+        for stat, (reduce, rd_only) in AGGREGATE_REDUCERS.items():
+            value = reduce(finite) if rd_column or not rd_only else math.nan
+            rows[stat][col] = value
     return list(rows.values())
 
 

@@ -33,9 +33,6 @@ class ResourceBundle:
         self.green = green
         self.blue = blue
 
-    def copy(self) -> "ResourceBundle":
-        return ResourceBundle(self.red, self.green, self.blue)
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.red, self.green, self.blue)
 

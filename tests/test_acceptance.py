@@ -168,8 +168,14 @@ def test_criterion_6_conservation_and_bookkeeping(monkeypatch):
     violations = []
 
     def checked_buy(firm, wanted, sfm):
+        # A refused call may meet a firm whose cash is already negative
+        # (maintenance can overdraw an IO firm); it must move nothing.
+        before = (firm.cash, firm.resources.as_tuple(), sfm.stock.as_tuple())
         result = sfm_buy(firm, wanted, sfm)
-        if firm.cash < 0.0:
+        if result is None:
+            if (firm.cash, firm.resources.as_tuple(), sfm.stock.as_tuple()) != before:
+                violations.append(f"refused purchase moved firm {firm.id}'s holdings")
+        elif firm.cash < 0.0:
             violations.append(f"purchase drove firm {firm.id} cash to {firm.cash}")
         return result
 

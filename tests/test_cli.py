@@ -89,6 +89,26 @@ class TestBatchAndAggregate:
     def test_aggregate_missing_input_exits_1(self, tmp_path, capsys):
         assert main(["aggregate", str(tmp_path / "nope.csv")]) == 1
 
+    def test_aggregate_without_run_id_column_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "runs.csv"
+        path.write_text("seed,c5_best_io\n7,0.5\n")
+        out = str(tmp_path / "agg")
+        assert main(["aggregate", str(path), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and "run_id" in err
+        assert len(err.strip().splitlines()) == 1  # a message, not a traceback
+        assert not os.path.exists(out)
+
+    def test_aggregate_short_row_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "runs.csv"
+        path.write_text("run_id,seed,c5_best_io,c5_best_rbv\n0,7,0.5,0.25\n1,8,0.5\n")
+        out = str(tmp_path / "agg")
+        assert main(["aggregate", str(path), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not os.path.exists(out)
+
     def test_workers_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STRATEGEM_WORKERS", "2")
         out = str(tmp_path / "out")

@@ -1,5 +1,7 @@
 """INI config parsing, dumping, and override handling."""
 
+from pathlib import Path
+
 import pytest
 
 from strategem.config import (
@@ -41,6 +43,10 @@ class TestRoundTrip:
 
     def test_no_file_gives_defaults(self):
         assert load_config(None).sim == SimConfig()
+
+    def test_shipped_default_ini_is_the_defaults(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
+        assert dump_config(load_config(str(path))) == dump_config(load_config(None))
 
 
 class TestParsing:

@@ -96,34 +96,44 @@ class TestUpdateShareValue:
 class TestSfmBuy:
     def test_empty_purchase(self):
         firm = make_firm(cash=10.0)
-        result = sfm_buy(firm, ResourceBundle(), make_sfm())
-        assert result.cost == 0.0
+        assert sfm_buy(firm, ResourceBundle(), make_sfm()) == 0.0
         assert firm.cash == 10.0
 
     def test_full_purchase(self):
         firm = make_firm(cash=10.0)
-        result = sfm_buy(firm, ResourceBundle(2, 0, 0), make_sfm(pr=3.0))
-        assert result.cost == pytest.approx(6.0)
+        sfm = make_sfm(pr=3.0, stock=5.0)
+        assert sfm_buy(firm, ResourceBundle(2, 0, 0), sfm) == pytest.approx(6.0)
         assert firm.cash == pytest.approx(4.0)
         assert firm.resources.red == pytest.approx(2.0)
+        assert sfm.stock.red == pytest.approx(3.0)
 
-    def test_affordable_fraction(self):
-        firm = make_firm(cash=6.0)
-        result = sfm_buy(firm, ResourceBundle(4, 0, 0), make_sfm(pr=3.0))
-        assert result.bought.red == pytest.approx(2.0)
+    def test_exact_cash_buys_everything(self):
+        firm = make_firm(cash=12.0)
+        assert sfm_buy(firm, ResourceBundle(4, 0, 0), make_sfm(pr=3.0)) == 12.0
         assert firm.cash == 0.0
+        assert firm.resources.red == 4.0
+
+    def test_unaffordable_buys_nothing(self):
+        firm = make_firm(cash=6.0)
+        sfm = make_sfm(pr=3.0)
+        assert sfm_buy(firm, ResourceBundle(4, 0, 0), sfm) is None
+        assert firm.cash == 6.0
+        assert firm.resources.as_tuple() == (0.0, 0.0, 0.0)
+        assert sfm.stock.red == 1e6
 
     def test_no_cash_no_transfer(self):
         firm = make_firm(cash=0.0)
-        result = sfm_buy(firm, ResourceBundle(4, 0, 0), make_sfm())
-        assert result.bought.as_tuple() == (0.0, 0.0, 0.0)
+        assert sfm_buy(firm, ResourceBundle(4, 0, 0), make_sfm()) is None
+        assert firm.resources.as_tuple() == (0.0, 0.0, 0.0)
 
-    def test_limited_stock(self):
+    def test_short_stock_buys_nothing(self):
+        # one short component refuses the whole bundle, the others included
         firm = make_firm(cash=100.0)
         sfm = make_sfm(stock=1.0)
-        result = sfm_buy(firm, ResourceBundle(5, 0, 0), sfm)
-        assert result.bought.red == pytest.approx(1.0)
-        assert sfm.stock.red == pytest.approx(0.0)
+        assert sfm_buy(firm, ResourceBundle(1, 5, 0), sfm) is None
+        assert firm.cash == 100.0
+        assert firm.resources.as_tuple() == (0.0, 0.0, 0.0)
+        assert sfm.stock.as_tuple() == (1.0, 1.0, 1.0)
 
     @given(
         st.floats(0, 100), st.floats(0, 100), st.floats(0, 100),
@@ -138,8 +148,14 @@ class TestSfmBuy:
             f + s
             for f, s in zip(firm.resources.as_tuple(), sfm.stock.as_tuple())
         )
-        sfm_buy(firm, ResourceBundle(r, g, b), sfm)
+        cash_before = firm.cash
+        cost = sfm_buy(firm, ResourceBundle(r, g, b), sfm)
         assert firm.cash >= 0.0
+        if cost is None:  # all or nothing
+            assert firm.cash == cash_before
+            assert firm.resources.as_tuple() == (0.0, 0.0, 0.0)
+        else:
+            assert firm.resources.as_tuple() == (r, g, b)
         after_total = tuple(
             f + s
             for f, s in zip(firm.resources.as_tuple(), sfm.stock.as_tuple())
@@ -151,14 +167,12 @@ class TestSfmBuy:
 class TestSfmSell:
     def test_noop(self):
         firm = make_firm(cash=1.0, resources=(1, 1, 1))
-        result = sfm_sell(firm, ResourceBundle(), make_sfm())
-        assert result.proceeds == 0.0
+        assert sfm_sell(firm, ResourceBundle(), make_sfm()) == 0.0
         assert firm.cash == 1.0
 
     def test_unit_sale(self):
         firm = make_firm(cash=0.0, resources=(1, 1, 1))
-        result = sfm_sell(firm, ResourceBundle(1, 1, 1), make_sfm())
-        assert result.proceeds == pytest.approx(3.0)
+        assert sfm_sell(firm, ResourceBundle(1, 1, 1), make_sfm()) == pytest.approx(3.0)
         assert firm.cash == pytest.approx(3.0)
 
     def test_rejects_overdraw(self):

@@ -33,12 +33,6 @@ class TestResourceBundle:
         # exact equality counts as meeting the barrier
         assert ResourceBundle(3, 3, 3).dominates(ResourceBundle(3, 3, 3))
 
-    def test_copy_is_independent(self):
-        a = ResourceBundle(1, 2, 3)
-        b = a.copy()
-        b.red = 9
-        assert a.red == 1
-
 
 class TestBundleValue:
     def test_zero_bundle(self):
