@@ -12,7 +12,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -245,7 +245,7 @@ def run_batch(
 # -- CSV serialization -------------------------------------------------------
 
 
-def _checkpoint_columns(summaries: Sequence[RunSummary]):
+def _checkpoint_columns(summaries: Sequence[RunSummary]) -> Iterator[tuple[str, int, str]]:
     """Yield (column, cycle, field name) for every per-checkpoint column of
     runs.csv and aggregate.csv, in CSV order."""
     for cycle in sorted({c for s in summaries for c in s.checkpoints}):
