@@ -1,6 +1,7 @@
-"""Golden-output fence: SHA-256 digests of a default-config batch, and of
-a short traced run whose initial bundles and barriers are drawn uniformly
-from the cube ranges instead of as Dirichlet mixes.
+"""Golden-output fence: SHA-256 digests of a default-config batch, of a
+short traced run whose initial bundles and barriers are drawn uniformly
+from the cube ranges instead of as Dirichlet mixes, and of a short traced
+run without estimation noise (no IO or RBV draws in the cycle's block).
 
 A refactor that moves any output byte (one ulp in any formula, a changed
 float format, a reordered random draw) fails here. The digests were taken
@@ -29,6 +30,12 @@ GOLDEN_UNIFORM_CUBE_TRACE = (
     "0b786974794bc6472475a4db88152136a3e64b2440e0091a38a0fcfdf78d689c"
 )
 
+# Trace of run 0 (seed derive_seed(0, 0)), 20 cycles, default config except
+# noise_amplitude = 0.0.
+GOLDEN_NOISE_FREE_TRACE = (
+    "d929ca007d73c4ad66e5ff4c1a3bffb31a3b45f148f73ae1ce981b3b0aeeb1e0"
+)
+
 
 def _sha256(path):
     with open(path, "rb") as fh:
@@ -42,9 +49,17 @@ def test_default_batch_outputs_match_golden_digests(tmp_path):
     assert digests == GOLDEN
 
 
-def test_uniform_cube_trace_matches_golden_digest():
-    config = SimConfig(n_cycles=20, barrier_sum_range=None, resource_sum_range=None)
+def _trace_digest(config):
     out = io.StringIO()
     run_one(derive_seed(0, 0), config, run_id=0, trace_out=out)
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert digest == GOLDEN_UNIFORM_CUBE_TRACE
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_uniform_cube_trace_matches_golden_digest():
+    config = SimConfig(n_cycles=20, barrier_sum_range=None, resource_sum_range=None)
+    assert _trace_digest(config) == GOLDEN_UNIFORM_CUBE_TRACE
+
+
+def test_noise_free_trace_matches_golden_digest():
+    config = SimConfig(n_cycles=20, noise_amplitude=0.0)
+    assert _trace_digest(config) == GOLDEN_NOISE_FREE_TRACE
