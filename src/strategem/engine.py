@@ -7,6 +7,19 @@ from the same config and seed produce bit-identical histories.
 Cycle order: firms act (choose / trade / enter) in ascending id, markets
 pay out, costs are charged, share values and factor prices update, ROA and
 survival are settled, and ages tick.
+
+Each cycle draws all its random numbers with one `rng.random(k)` call. While
+`noise_amplitude > 0` the block holds, in ascending firm id, `n_markets`
+draws for each live IO firm and one draw for each live RBV firm with no
+market; after those come `n_markets` share-value draws and 3 price draws.
+Nothing in the acting phase changes a firm's `alive` flag or the market of
+any firm but the one acting, so the layout is fixed at the top of the
+cycle, and the block holds the same doubles that separate draws in that
+order would give.
+
+IO firms choose with `strategy.io_best_index` over `World.attractiveness`,
+a column of `market_attractiveness` values rebuilt at the top of each
+cycle and rewritten by `_attempt_entry` for the markets joined and left.
 """
 
 from __future__ import annotations
@@ -29,8 +42,9 @@ from .model import (
 )
 from .strategy import (
     Action,
-    io_choose_market,
+    io_best_index,
     largest_holding,
+    market_attractiveness,
     rbv_choose_market,
     shortfall_bundle,
 )
@@ -176,7 +190,9 @@ def _draw_bundle(
     if sum_range is not None:
         total = rng.uniform(*sum_range)
         mix = rng.dirichlet((mix_alpha, mix_alpha, mix_alpha))
-        return ResourceBundle(total * mix[0], total * mix[1], total * mix[2])
+        return ResourceBundle(
+            float(total * mix[0]), float(total * mix[1]), float(total * mix[2])
+        )
     lo, hi = cube
     return ResourceBundle(rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi))
 
@@ -200,6 +216,7 @@ class World:
             price_green=config.initial_price,
             price_blue=config.initial_price,
         )
+        self.attractiveness = self._attractiveness_column()
 
     def _init_markets(self) -> list[Market]:
         cfg = self.config
@@ -233,6 +250,9 @@ class World:
 
     # -- per-cycle machinery -------------------------------------------------
 
+    def _attractiveness_column(self) -> np.ndarray:
+        return np.array([market_attractiveness(m) for m in self.markets])
+
     def _estimate_epsilon(self, firm: Firm) -> float:
         """Age-linked estimation error: older firms estimate better."""
         return self.config.noise_amplitude / (1.0 + firm.age)
@@ -259,10 +279,14 @@ class World:
             self._demand_units += units
         if not firm.resources.dominates(market.barrier, _BARRIER_TOL):
             return False
+        column = self.attractiveness
         if firm.market is not None:
-            self.markets[firm.market].occupants -= 1
+            left = self.markets[firm.market]
+            left.occupants -= 1
+            column[left.id] = market_attractiveness(left)
         firm.market = market.id
         market.occupants += 1
+        column[market.id] = market_attractiveness(market)
         return True
 
     def step_cycle(self) -> None:
@@ -277,38 +301,61 @@ class World:
         self._demand_eps_weight = 0.0
         self._demand_units = 0.0
 
+        # The cycle's one draw block (layout in the module docstring).
+        n_markets = len(markets)
+        noisy = cfg.noise_amplitude > 0.0
+        io_offsets, io_eps, rbv_offsets = [], [], []
+        k = 0
+        if noisy:
+            for firm in self.firms:
+                if not firm.alive:
+                    continue
+                if firm.strategy is Strategy.IO:
+                    io_offsets.append(k)
+                    io_eps.append(self._estimate_epsilon(firm))
+                    k += n_markets
+                elif firm.market is None:
+                    rbv_offsets.append(k)
+                    k += 1
+        draws = rng.random(k + n_markets + 3)
+        if noisy:
+            io_u = draws[np.array(io_offsets, dtype=np.intp)[:, None] + np.arange(n_markets)]
+            io_rows = iter(1.0 + np.array(io_eps)[:, None] * (2.0 * io_u - 1.0))
+            rbv_draws = iter(draws[rbv_offsets].tolist())
+        tail_draws = draws[k:].tolist()
+
         # (1)-(3) firms act in ascending id against live market state: each
         # decision sees the occupancy left by every earlier mover in the
         # same cycle, so a crowd disperses instead of piling onto one
         # opportunity.
+        column = self.attractiveness = self._attractiveness_column()
         for firm in self.firms:
             firm.revenue = firm.cost = firm.profit = 0.0
             if not firm.alive:
                 firm.instant_perf = 0.0
                 continue
-            eps = self._estimate_epsilon(firm)
             if firm.strategy is Strategy.IO:
-                if eps > 0.0:
-                    noise = 1.0 + eps * (2.0 * rng.random(len(markets)) - 1.0)
-                else:
-                    noise = None
-                choice = io_choose_market(firm, markets, noise)
-                if choice.market == firm.market:
-                    continue
+                j = io_best_index(column, next(io_rows) if noisy else None)
+                if j != firm.market:
+                    self._attempt_entry(firm, markets[j])
+                continue
+            if firm.market is not None:
+                continue  # locked in
+            if noisy:
+                eps = self._estimate_epsilon(firm)
+                noise = 1.0 + eps * (2.0 * next(rbv_draws) - 1.0)
             else:
-                if firm.market is not None:
-                    continue  # locked in
-                noise = 1.0 + eps * (2.0 * rng.random() - 1.0) if eps > 0.0 else 1.0
-                choice = rbv_choose_market(
-                    firm,
-                    markets,
-                    sfm,
-                    output_fraction=cfg.output_fraction,
-                    noise=noise,
-                    literal_sign=cfg.literal_distance_sign,
-                )
-                if choice.action is Action.NONE:
-                    continue
+                noise = 1.0
+            choice = rbv_choose_market(
+                firm,
+                markets,
+                sfm,
+                output_fraction=cfg.output_fraction,
+                noise=noise,
+                literal_sign=cfg.literal_distance_sign,
+            )
+            if choice.action is Action.NONE:
+                continue
             if choice.action is Action.ENTER:
                 self._attempt_entry(firm, markets[choice.market])
             elif choice.action is Action.SELL_RESOURCE:
@@ -347,8 +394,8 @@ class World:
             firm.cash += firm.revenue - maintenance
 
         # (6) share values and factor prices update
-        for market in markets:
-            noise = 1.0 + cfg.value_noise * (2.0 * rng.random() - 1.0)
+        for market, u in zip(markets, tail_draws):
+            noise = 1.0 + cfg.value_noise * (2.0 * u - 1.0)
             market.share_value = update_share_value(
                 market, cfg.crowding, noise, cfg.value_floor
             )
@@ -356,7 +403,7 @@ class World:
             eps_p = self._demand_eps_weight / self._demand_units
         else:
             eps_p = 0.0
-        price_noise = tuple(1.0 + eps_p * (2.0 * rng.random() - 1.0) for _ in range(3))
+        price_noise = tuple(1.0 + eps_p * (2.0 * u - 1.0) for u in tail_draws[n_markets:])
         update_sfm_prices(
             sfm,
             (self._demand_red, self._demand_green, self._demand_blue),

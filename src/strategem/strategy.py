@@ -6,9 +6,14 @@ take, pick once, and are locked in for good; before entering they weigh
 entry against liquidating their largest resource holding or selling output
 off-market.
 
-Both choosers are pure functions of the snapshots they are given; the
-engine supplies optional per-market noise factors for the imperfect-
-information model, and tests call them noise-free.
+The IO rule has one home, `io_best_index`: the first maximum of a column of
+market attractiveness, times a row of noise factors when there is one. The
+engine calls it on the attractiveness column it keeps; `io_choose_market`
+builds the column from `market_attractiveness` and calls it too.
+
+Both choosers are pure functions of the snapshots they are given. They take
+optional noise factors for the imperfect-information model; tests call them
+noise-free.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from .model import Firm, Market, ResourceBundle, SfmState, bundle_value
 
@@ -57,6 +64,17 @@ def market_attractiveness(market: Market) -> float:
     return market.shares * market.share_value / max(market.occupants, 1)
 
 
+def io_best_index(attractiveness: np.ndarray, noise: np.ndarray | None = None) -> int:
+    """Index of the first maximum of `attractiveness * noise`, or of
+    `attractiveness` alone without noise.
+
+    Over a column in market-id order the first maximum is the lowest-id
+    tie-break.
+    """
+    scores = attractiveness if noise is None else attractiveness * noise
+    return int(scores.argmax())
+
+
 def io_choose_market(
     firm: Firm,
     markets: Sequence[Market],
@@ -64,21 +82,18 @@ def io_choose_market(
 ) -> MarketChoice:
     """Pick the market with the highest expected per-occupant profit.
 
-    Ties break toward the lowest market id (the scan keeps the first
-    maximum). `noise` optionally multiplies each market's estimate.
+    Ties break toward the lowest market id, whatever the order of
+    `markets`. `noise` optionally multiplies each market's estimate,
+    position for position.
     """
     if not markets:
         raise ValueError("io_choose_market requires at least one market")
-    best = None
-    best_score = -math.inf
-    for idx, market in enumerate(markets):
-        score = market_attractiveness(market)
-        if noise is not None:
-            score *= noise[idx]
-        if score > best_score or (score == best_score and best is not None and market.id < best.id):
-            best = market
-            best_score = score
-    return MarketChoice(market=best.id, score=best_score, action=Action.ENTER)
+    order = sorted(range(len(markets)), key=lambda i: markets[i].id)
+    column = np.array([market_attractiveness(markets[i]) for i in order])
+    row = None if noise is None else np.asarray(noise, dtype=float)[order]
+    j = io_best_index(column, row)
+    score = column[j] if row is None else column[j] * row[j]
+    return MarketChoice(market=markets[order[j]].id, score=float(score), action=Action.ENTER)
 
 
 def barrier_deficit(firm: Firm, market: Market) -> tuple[float, float, float]:

@@ -299,6 +299,43 @@ class TestStepCycle:
         assert market.occupants == 0
 
 
+class _RecordingRng:
+    """Forwards to a Generator and records the name of each method called."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return recorded
+
+
+class TestCycleMechanics:
+    def test_state_stays_python_floats(self):
+        world = make_world(seed=3)
+        for _ in range(3):
+            world.step_cycle()
+        values = list(world.sfm.prices)
+        for firm in world.firms:
+            values += [firm.cash, firm.total_perf, *firm.resources.as_tuple()]
+        assert {type(v) for v in values} == {float}
+
+    @pytest.mark.parametrize("noise_amplitude", [0.3, 0.0])
+    def test_one_random_call_per_cycle(self, noise_amplitude):
+        rng = _RecordingRng(np.random.Generator(np.random.PCG64(4)))
+        world = World(SimConfig(noise_amplitude=noise_amplitude), rng)
+        for _ in range(5):
+            rng.calls.clear()
+            world.step_cycle()
+            assert rng.calls == ["random"]
+
+
 class TestWholeRunInvariants:
     def test_long_run_bookkeeping(self):
         world = make_world(seed=7)

@@ -76,6 +76,41 @@ class TestIoChooser:
             oracle = min(m.id for m, s in zip(markets, scores) if s == best)
             assert choice.market == oracle
 
+    def test_noisy_choice_matches_first_maximum_scan(self):
+        # Few share values, occupancies and noise levels make exact ties
+        # common; the list order is shuffled so position and id differ.
+        rng = np.random.Generator(np.random.PCG64(2))
+        tied = 0
+        for trial in range(500):
+            n = int(rng.integers(1, 12))
+            markets = [
+                make_market(
+                    j,
+                    int(rng.choice([10, 100])),
+                    float(rng.choice([0.5, 1.0, 2.0])),
+                    occupants=int(rng.integers(0, 4)),
+                )
+                for j in range(n)
+            ]
+            noise = [float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.7, 1.3)])) for _ in range(n)]
+            order = rng.permutation(n)
+            markets = [markets[i] for i in order]
+            noise = [noise[i] for i in order]
+            given_noise = np.array(noise) if trial % 2 else noise
+            choice = io_choose_market(make_firm(), markets, given_noise)
+
+            best_id, best = None, -math.inf
+            scores = []
+            for m, factor in sorted(zip(markets, noise), key=lambda pair: pair[0].id):
+                score = market_attractiveness(m) * factor
+                scores.append(score)
+                if score > best:
+                    best_id, best = m.id, score
+            tied += scores.count(best) > 1
+            assert choice.market == best_id
+            assert choice.score == best
+        assert tied > 50
+
     @given(st.floats(0.1, 100.0))
     def test_invariant_under_value_rescaling(self, scale):
         markets = [
