@@ -8,16 +8,17 @@ Cycle order: firms act (choose / trade / enter) in ascending id, markets
 pay out, costs are charged, share values and factor prices update, ROA and
 survival are settled, and ages tick.
 
-Each cycle draws all its random numbers with one `rng.random(k)` call. While
-`noise_amplitude > 0` the block holds, in ascending firm id, `n_markets`
-draws for each live IO firm and one draw for each live RBV firm with no
-market; after those come `n_markets` share-value draws and 3 price draws.
-Nothing in the acting phase changes a firm's `alive` flag or the market of
-any firm but the one acting, so the layout is fixed at the top of the
-cycle, and the block holds the same doubles that separate draws in that
+Each cycle draws all its random numbers with one `rng.random(k)` call. The
+block holds, in ascending firm id, `n_markets` draws for each live IO firm
+and one draw for each live RBV firm with no market, in both cases only
+while the firm's estimation error `noise_amplitude / (1 + age)` is above
+zero; after those come `n_markets` share-value draws and 3 price draws.
+Nothing in the acting phase changes a firm's age, its `alive` flag or the
+market of any firm but the one acting, so the layout is fixed at the top of
+the cycle, and the block holds the same doubles that separate draws in that
 order would give.
 
-IO firms choose with `strategy.io_best_index` over `World.attractiveness`,
+IO firms choose with `strategy.io_choose_market` over `World.attractiveness`,
 a column of `market_attractiveness` values rebuilt at the top of each
 cycle and rewritten by `_attempt_entry` for the markets joined and left.
 """
@@ -42,7 +43,7 @@ from .model import (
 )
 from .strategy import (
     Action,
-    io_best_index,
+    io_choose_market,
     largest_holding,
     market_attractiveness,
     rbv_choose_market,
@@ -216,7 +217,6 @@ class World:
             price_green=config.initial_price,
             price_blue=config.initial_price,
         )
-        self.attractiveness = self._attractiveness_column()
 
     def _init_markets(self) -> list[Market]:
         cfg = self.config
@@ -249,9 +249,6 @@ class World:
         return firms
 
     # -- per-cycle machinery -------------------------------------------------
-
-    def _attractiveness_column(self) -> np.ndarray:
-        return np.array([market_attractiveness(m) for m in self.markets])
 
     def _estimate_epsilon(self, firm: Firm) -> float:
         """Age-linked estimation error: older firms estimate better."""
@@ -301,61 +298,56 @@ class World:
         self._demand_eps_weight = 0.0
         self._demand_units = 0.0
 
-        # The cycle's one draw block (layout in the module docstring).
+        # The cycle's one draw block (layout in the module docstring); every
+        # IO noise row is built in one expression.
         n_markets = len(markets)
-        noisy = cfg.noise_amplitude > 0.0
+        firm_eps = [self._estimate_epsilon(firm) for firm in self.firms]
         io_offsets, io_eps, rbv_offsets = [], [], []
         k = 0
-        if noisy:
-            for firm in self.firms:
-                if not firm.alive:
-                    continue
-                if firm.strategy is Strategy.IO:
-                    io_offsets.append(k)
-                    io_eps.append(self._estimate_epsilon(firm))
-                    k += n_markets
-                elif firm.market is None:
-                    rbv_offsets.append(k)
-                    k += 1
+        for firm, eps in zip(self.firms, firm_eps):
+            if not firm.alive or eps <= 0.0:
+                continue
+            if firm.strategy is Strategy.IO:
+                io_offsets.append(k)
+                io_eps.append(eps)
+                k += n_markets
+            elif firm.market is None:
+                rbv_offsets.append(k)
+                k += 1
         draws = rng.random(k + n_markets + 3)
-        if noisy:
-            io_u = draws[np.array(io_offsets, dtype=np.intp)[:, None] + np.arange(n_markets)]
-            io_rows = iter(1.0 + np.array(io_eps)[:, None] * (2.0 * io_u - 1.0))
-            rbv_draws = iter(draws[rbv_offsets].tolist())
-        tail_draws = draws[k:].tolist()
+        io_u = draws[np.array(io_offsets, dtype=np.intp)[:, None] + np.arange(n_markets)]
+        io_rows = iter(1.0 + np.array(io_eps)[:, None] * (2.0 * io_u - 1.0))
+        rbv_draws = iter(draws[rbv_offsets].tolist())
 
         # (1)-(3) firms act in ascending id against live market state: each
         # decision sees the occupancy left by every earlier mover in the
         # same cycle, so a crowd disperses instead of piling onto one
         # opportunity.
-        column = self.attractiveness = self._attractiveness_column()
-        for firm in self.firms:
+        column = self.attractiveness = np.array([market_attractiveness(m) for m in markets])
+        for firm, eps in zip(self.firms, firm_eps):
             firm.revenue = firm.cost = firm.profit = 0.0
             if not firm.alive:
                 firm.instant_perf = 0.0
                 continue
             if firm.strategy is Strategy.IO:
-                j = io_best_index(column, next(io_rows) if noisy else None)
-                if j != firm.market:
-                    self._attempt_entry(firm, markets[j])
-                continue
-            if firm.market is not None:
-                continue  # locked in
-            if noisy:
-                eps = self._estimate_epsilon(firm)
-                noise = 1.0 + eps * (2.0 * next(rbv_draws) - 1.0)
+                noise = next(io_rows) if eps > 0.0 else None
+                choice = io_choose_market(firm, markets, noise, column)
+                if choice.market == firm.market:
+                    continue
             else:
-                noise = 1.0
-            choice = rbv_choose_market(
-                firm,
-                markets,
-                sfm,
-                output_fraction=cfg.output_fraction,
-                noise=noise,
-                literal_sign=cfg.literal_distance_sign,
-            )
-            if choice.action is Action.NONE:
-                continue
+                if firm.market is not None:
+                    continue  # locked in
+                noise = 1.0 + eps * (2.0 * next(rbv_draws) - 1.0) if eps > 0.0 else 1.0
+                choice = rbv_choose_market(
+                    firm,
+                    markets,
+                    sfm,
+                    output_fraction=cfg.output_fraction,
+                    noise=noise,
+                    literal_sign=cfg.literal_distance_sign,
+                )
+                if choice.action is Action.NONE:
+                    continue
             if choice.action is Action.ENTER:
                 self._attempt_entry(firm, markets[choice.market])
             elif choice.action is Action.SELL_RESOURCE:
@@ -394,6 +386,7 @@ class World:
             firm.cash += firm.revenue - maintenance
 
         # (6) share values and factor prices update
+        tail_draws = draws[k:].tolist()
         for market, u in zip(markets, tail_draws):
             noise = 1.0 + cfg.value_noise * (2.0 * u - 1.0)
             market.share_value = update_share_value(

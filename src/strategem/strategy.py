@@ -6,10 +6,10 @@ take, pick once, and are locked in for good; before entering they weigh
 entry against liquidating their largest resource holding or selling output
 off-market.
 
-The IO rule has one home, `io_best_index`: the first maximum of a column of
-market attractiveness, times a row of noise factors when there is one. The
-engine calls it on the attractiveness column it keeps; `io_choose_market`
-builds the column from `market_attractiveness` and calls it too.
+The IO rule has one home, `io_choose_market`: the first maximum of a column
+of market attractiveness, times a row of noise factors when there is one.
+The engine passes it the attractiveness column it keeps; called without
+one, it builds the column from `market_attractiveness`.
 
 Both choosers are pure functions of the snapshots they are given. They take
 optional noise factors for the imperfect-information model; tests call them
@@ -64,36 +64,34 @@ def market_attractiveness(market: Market) -> float:
     return market.shares * market.share_value / max(market.occupants, 1)
 
 
-def io_best_index(attractiveness: np.ndarray, noise: np.ndarray | None = None) -> int:
-    """Index of the first maximum of `attractiveness * noise`, or of
-    `attractiveness` alone without noise.
-
-    Over a column in market-id order the first maximum is the lowest-id
-    tie-break.
-    """
-    scores = attractiveness if noise is None else attractiveness * noise
-    return int(scores.argmax())
-
-
 def io_choose_market(
     firm: Firm,
     markets: Sequence[Market],
     noise: Sequence[float] | None = None,
+    attractiveness: np.ndarray | None = None,
 ) -> MarketChoice:
-    """Pick the market with the highest expected per-occupant profit.
+    """Pick the market with the highest expected per-occupant profit: the
+    first maximum of `attractiveness * noise`, or of `attractiveness` alone
+    without noise.
 
-    Ties break toward the lowest market id, whatever the order of
-    `markets`. `noise` optionally multiplies each market's estimate,
-    position for position.
+    `noise` optionally multiplies each market's estimate, position for
+    position. Without `attractiveness` the column is built from
+    `market_attractiveness` in market-id order, so ties break toward the
+    lowest id whatever the order of `markets`. A given `attractiveness`
+    column must hold those values for `markets` already in id order, as
+    `World` keeps them.
     """
     if not markets:
         raise ValueError("io_choose_market requires at least one market")
-    order = sorted(range(len(markets)), key=lambda i: markets[i].id)
-    column = np.array([market_attractiveness(markets[i]) for i in order])
-    row = None if noise is None else np.asarray(noise, dtype=float)[order]
-    j = io_best_index(column, row)
-    score = column[j] if row is None else column[j] * row[j]
-    return MarketChoice(market=markets[order[j]].id, score=float(score), action=Action.ENTER)
+    if attractiveness is None:
+        order = sorted(range(len(markets)), key=lambda i: markets[i].id)
+        markets = [markets[i] for i in order]
+        attractiveness = np.array([market_attractiveness(m) for m in markets])
+        if noise is not None:
+            noise = np.asarray(noise, dtype=float)[order]
+    scores = attractiveness if noise is None else attractiveness * noise
+    j = int(scores.argmax())
+    return MarketChoice(markets[j].id, scores.item(j), Action.ENTER)
 
 
 def barrier_deficit(firm: Firm, market: Market) -> tuple[float, float, float]:

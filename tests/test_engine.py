@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strategem.engine
 from strategem.engine import (
     World,
     allocate_market_profit,
@@ -27,6 +28,7 @@ from strategem.model import (
     SimConfig,
     Strategy,
 )
+from strategem.strategy import io_choose_market
 
 
 def make_market(mid, shares, value, barrier=(0, 0, 0), occupants=0):
@@ -334,6 +336,21 @@ class TestCycleMechanics:
             rng.calls.clear()
             world.step_cycle()
             assert rng.calls == ["random"]
+
+    def test_every_live_io_firm_chooses_through_io_choose_market(self, monkeypatch):
+        chosen = []
+
+        def recording(firm, *args):
+            chosen.append(firm.id)
+            return io_choose_market(firm, *args)
+
+        monkeypatch.setattr(strategem.engine, "io_choose_market", recording)
+        world = make_world(seed=5)
+        for _ in range(3):
+            live_io = [f.id for f in world.firms if f.alive and f.strategy is Strategy.IO]
+            chosen.clear()
+            world.step_cycle()
+            assert chosen == live_io
 
 
 class TestWholeRunInvariants:

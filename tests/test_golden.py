@@ -1,7 +1,9 @@
 """Golden-output fence: SHA-256 digests of a default-config batch, of a
 short traced run whose initial bundles and barriers are drawn uniformly
 from the cube ranges instead of as Dirichlet mixes, and of a short traced
-run without estimation noise (no IO or RBV draws in the cycle's block).
+run without estimation noise (no IO or RBV draws in the cycle's block),
+and of one whose noise amplitude is so small that each firm's estimation
+error underflows to zero after its first cycle.
 
 A refactor that moves any output byte (one ulp in any formula, a changed
 float format, a reordered random draw) fails here. The digests were taken
@@ -36,6 +38,14 @@ GOLDEN_NOISE_FREE_TRACE = (
     "d929ca007d73c4ad66e5ff4c1a3bffb31a3b45f148f73ae1ce981b3b0aeeb1e0"
 )
 
+# Trace of run 0 (seed derive_seed(0, 0)), 20 cycles, default config except
+# noise_amplitude = 5e-324, the smallest subnormal double: a firm's error
+# noise_amplitude / (1 + age) is zero from age 1, and such a firm draws no
+# noise.
+GOLDEN_SUBNORMAL_NOISE_TRACE = (
+    "44607ea96f8c5eff73f7959b8f8d2a4fdb37fa47ba2b2dd3444e892c48829b0b"
+)
+
 
 def _sha256(path):
     with open(path, "rb") as fh:
@@ -63,3 +73,8 @@ def test_uniform_cube_trace_matches_golden_digest():
 def test_noise_free_trace_matches_golden_digest():
     config = SimConfig(n_cycles=20, noise_amplitude=0.0)
     assert _trace_digest(config) == GOLDEN_NOISE_FREE_TRACE
+
+
+def test_subnormal_noise_trace_matches_golden_digest():
+    config = SimConfig(n_cycles=20, noise_amplitude=5e-324)
+    assert _trace_digest(config) == GOLDEN_SUBNORMAL_NOISE_TRACE
