@@ -1,9 +1,10 @@
 """Golden-output fence: SHA-256 digests of a default-config batch, of a
 short traced run whose initial bundles and barriers are drawn uniformly
-from the cube ranges instead of as Dirichlet mixes, and of a short traced
-run without estimation noise (no IO or RBV draws in the cycle's block),
-and of one whose noise amplitude is so small that each firm's estimation
-error underflows to zero after its first cycle.
+from the cube ranges instead of as Dirichlet mixes, of a short traced run
+without estimation noise (no IO or RBV draws in the cycle's block),
+of one whose noise amplitude is so small that each firm's estimation
+error underflows to zero after its first cycle, and of one whose RBV firms
+measure the shortfall in the literal pos(holding - barrier) orientation.
 
 A refactor that moves any output byte (one ulp in any formula, a changed
 float format, a reordered random draw) fails here. The digests were taken
@@ -46,6 +47,12 @@ GOLDEN_SUBNORMAL_NOISE_TRACE = (
     "44607ea96f8c5eff73f7959b8f8d2a4fdb37fa47ba2b2dd3444e892c48829b0b"
 )
 
+# Trace of run 0 (seed derive_seed(0, 0)), 20 cycles, default config except
+# literal_distance_sign = True.
+GOLDEN_LITERAL_SIGN_TRACE = (
+    "4a4964fa566d3dd0c3daf8c559641050179e69dcece4c307039512e4dc796cc4"
+)
+
 
 def _sha256(path):
     with open(path, "rb") as fh:
@@ -78,3 +85,8 @@ def test_noise_free_trace_matches_golden_digest():
 def test_subnormal_noise_trace_matches_golden_digest():
     config = SimConfig(n_cycles=20, noise_amplitude=5e-324)
     assert _trace_digest(config) == GOLDEN_SUBNORMAL_NOISE_TRACE
+
+
+def test_literal_sign_trace_matches_golden_digest():
+    config = SimConfig(n_cycles=20, literal_distance_sign=True)
+    assert _trace_digest(config) == GOLDEN_LITERAL_SIGN_TRACE
