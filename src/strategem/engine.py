@@ -21,6 +21,15 @@ order would give.
 IO firms choose with `strategy.io_choose_market` over `World.attractiveness`,
 a column of `market_attractiveness` values rebuilt at the top of each
 cycle and rewritten by `_attempt_entry` for the markets joined and left.
+
+RBV firms choose with `strategy.rbv_choose_market`, passed the candidate
+that `World.rbv_candidates` remembers for the firm: the bundle it was found
+for and the `(market, dist)` pair `strategy.rbv_candidate` returned. The
+candidate depends only on the bundle, the barriers and
+`literal_distance_sign`; barriers are drawn once in `_init_markets` and
+the sign is fixed per run, so a bundle key is enough. A firm whose bundle
+differs from its key, after any trade, is scanned afresh; the key is the
+bundle's values, so no trade path has to clear it.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from .strategy import (
     io_choose_market,
     largest_holding,
     market_attractiveness,
+    rbv_candidate,
     rbv_choose_market,
     shortfall_bundle,
 )
@@ -209,6 +219,8 @@ class World:
         self.cycle = 0
         self.markets = self._init_markets()
         self.firms = self._init_firms()
+        # RBV firm id -> (bundle, its rbv_candidate pair); see the module docstring
+        self.rbv_candidates: dict[int, tuple[tuple[float, ...], tuple[Market, float]]] = {}
         self.sfm = SfmState(
             stock=ResourceBundle(
                 config.initial_stock, config.initial_stock, config.initial_stock
@@ -324,6 +336,7 @@ class World:
         # same cycle, so a crowd disperses instead of piling onto one
         # opportunity.
         column = self.attractiveness = np.array([market_attractiveness(m) for m in markets])
+        candidates = self.rbv_candidates
         for firm, eps in zip(self.firms, firm_eps):
             firm.revenue = firm.cost = firm.profit = 0.0
             if not firm.alive:
@@ -338,6 +351,13 @@ class World:
                 if firm.market is not None:
                     continue  # locked in
                 noise = 1.0 + eps * (2.0 * next(rbv_draws) - 1.0) if eps > 0.0 else 1.0
+                bundle = firm.resources.as_tuple()
+                memo = candidates.get(firm.id)
+                if memo is None or memo[0] != bundle:
+                    memo = candidates[firm.id] = (
+                        bundle,
+                        rbv_candidate(firm, markets, cfg.literal_distance_sign),
+                    )
                 choice = rbv_choose_market(
                     firm,
                     markets,
@@ -345,6 +365,7 @@ class World:
                     output_fraction=cfg.output_fraction,
                     noise=noise,
                     literal_sign=cfg.literal_distance_sign,
+                    candidate=memo[1],
                 )
                 if choice.action is Action.NONE:
                     continue

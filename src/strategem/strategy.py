@@ -9,7 +9,10 @@ off-market.
 The IO rule has one home, `io_choose_market`: the first maximum of a column
 of market attractiveness, times a row of noise factors when there is one.
 The engine passes it the attractiveness column it keeps; called without
-one, it builds the column from `market_attractiveness`.
+one, it builds the column from `market_attractiveness`. Likewise the RBV
+candidate rule has one home, `rbv_candidate`: the engine passes
+`rbv_choose_market` the candidate it remembers; called without one, it
+scans the markets.
 
 Both choosers are pure functions of the snapshots they are given. They take
 optional noise factors for the imperfect-information model; tests call them
@@ -176,6 +179,7 @@ def rbv_choose_market(
     output_fraction: float = 0.5,
     noise: float = 1.0,
     literal_sign: bool = False,
+    candidate: tuple[Market, float] | None = None,
 ) -> MarketChoice:
     """RBV step: find the best-fitting market, then value the three actions.
 
@@ -191,17 +195,24 @@ def rbv_choose_market(
 
     When no action has positive value the firm does nothing (a wallflower).
     `noise` scales the profit estimates, not the shortfall.
+
+    `candidate` is the `(market, dist)` pair `rbv_candidate` returns for
+    this firm, `markets` and `literal_sign`; `World` passes the one it
+    remembers while the firm's bundle is unchanged. Without it the markets
+    are scanned here.
     """
     if firm.market is not None:
         return MarketChoice(market=firm.market, score=0.0, action=Action.STAY)
     if not markets:
         return MarketChoice(market=None, score=0.0, action=Action.NONE)
 
-    candidate, _dist = rbv_candidate(firm, markets, literal_sign)
-    expected_profit = candidate.shares * candidate.share_value / (candidate.occupants + 1)
+    if candidate is None:
+        candidate = rbv_candidate(firm, markets, literal_sign)
+    market, _dist = candidate
+    expected_profit = market.shares * market.share_value / (market.occupants + 1)
     expected_profit *= noise
 
-    cost = shortfall_cost(firm, candidate, sfm)
+    cost = shortfall_cost(firm, market, sfm)
     enter_value = expected_profit - cost if cost <= firm.cash else -math.inf
 
     _kind, sell_resource_value = largest_holding(firm.resources, sfm)
@@ -211,7 +222,7 @@ def rbv_choose_market(
     if best_value <= 0.0:
         return MarketChoice(market=None, score=best_value, action=Action.NONE)
     if enter_value == best_value:
-        return MarketChoice(market=candidate.id, score=enter_value, action=Action.ENTER)
+        return MarketChoice(market=market.id, score=enter_value, action=Action.ENTER)
     if sell_resource_value == best_value:
         return MarketChoice(market=None, score=sell_resource_value, action=Action.SELL_RESOURCE)
-    return MarketChoice(market=candidate.id, score=sell_output_value, action=Action.SELL_OUTPUT)
+    return MarketChoice(market=market.id, score=sell_output_value, action=Action.SELL_OUTPUT)

@@ -28,7 +28,7 @@ from strategem.model import (
     SimConfig,
     Strategy,
 )
-from strategem.strategy import io_choose_market
+from strategem.strategy import io_choose_market, rbv_candidate, rbv_choose_market
 
 
 def make_market(mid, shares, value, barrier=(0, 0, 0), occupants=0):
@@ -351,6 +351,58 @@ class TestCycleMechanics:
             chosen.clear()
             world.step_cycle()
             assert chosen == live_io
+
+    @pytest.mark.parametrize("literal_sign", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_remembered_rbv_candidate_equals_a_fresh_scan(
+        self, monkeypatch, seed, literal_sign
+    ):
+        chosen = []
+
+        def checking(firm, markets, *args, candidate, **kwargs):
+            market, dist = rbv_candidate(firm, markets, literal_sign)
+            assert (candidate[0].id, candidate[1]) == (market.id, dist)
+            chosen.append(firm.id)
+            return rbv_choose_market(firm, markets, *args, candidate=candidate, **kwargs)
+
+        monkeypatch.setattr(strategem.engine, "rbv_choose_market", checking)
+        world = make_world(seed=seed, literal_distance_sign=literal_sign)
+        for _ in range(60):
+            unattached = [
+                f.id
+                for f in world.firms
+                if f.alive and f.strategy is Strategy.RBV and f.market is None
+            ]
+            chosen.clear()
+            world.step_cycle()
+            assert chosen == unattached
+
+    def test_rbv_candidate_memo_hits_and_rescans(self, monkeypatch):
+        scans, choices = [], []
+
+        def counting_candidate(firm, *args):
+            scans.append((firm.id, firm.resources.as_tuple()))
+            return rbv_candidate(firm, *args)
+
+        def counting_choose(firm, *args, **kwargs):
+            choices.append(firm.id)
+            return rbv_choose_market(firm, *args, **kwargs)
+
+        monkeypatch.setattr(strategem.engine, "rbv_candidate", counting_candidate)
+        monkeypatch.setattr(strategem.engine, "rbv_choose_market", counting_choose)
+        world = make_world(seed=0)
+        for _ in range(world.config.n_cycles):
+            world.step_cycle()
+        assert len(scans) < len(choices)
+        # A firm is scanned again only once its bundle has changed.
+        last_scanned: dict[int, tuple] = {}
+        rescans = 0
+        for firm_id, bundle in scans:
+            if firm_id in last_scanned:
+                assert last_scanned[firm_id] != bundle
+                rescans += 1
+            last_scanned[firm_id] = bundle
+        assert rescans > 0
 
 
 class TestWholeRunInvariants:
