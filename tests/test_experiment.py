@@ -185,6 +185,14 @@ class TestRunBatch:
         assert sorted(serial) == sorted(f"run_{i}.csv" for i in range(6))
         assert _traced_batch(tmp_path / "w2", workers=2) == serial
 
+    def test_checkpoints_past_n_cycles_are_dropped(self, tmp_path):
+        sim = small_sim(n_cycles=30, checkpoint_cycles=(20, 200))
+        run_batch(BatchConfig(n_runs=2, base_seed=4, sim=sim), out_dir=str(tmp_path))
+        for name in ("runs.csv", "aggregate.csv"):
+            text = (tmp_path / name).read_text()
+            assert "c20_" in text
+            assert "c200_" not in text
+
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             BatchConfig(n_runs=0).validate()
