@@ -17,7 +17,7 @@ from .strategy import (
     rbv_choose_market,
     resource_shortfall,
 )
-from .engine import World, allocate_market_profit, sfm_buy, sfm_sell
+from .engine import World, sfm_buy, sfm_sell
 from .metrics import (
     RbvProfile,
     StrategySnapshot,
@@ -42,7 +42,6 @@ __all__ = [
     "Strategy",
     "StrategySnapshot",
     "World",
-    "allocate_market_profit",
     "bundle_value",
     "classify_rbv",
     "derive_seed",

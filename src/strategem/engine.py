@@ -21,6 +21,9 @@ order would give.
 IO firms choose with `strategy.io_choose_market` over `World.attractiveness`,
 a column of `market_attractiveness` values rebuilt at the top of each
 cycle and rewritten by `_attempt_entry` for the markets joined and left.
+Nothing else moves occupancy or share values before the payout, so the
+same column then pays each occupant its equal share,
+`shares * share_value / occupants`.
 
 RBV firms choose with `strategy.rbv_choose_market`, passed the candidate
 that `World.rbv_candidates` remembers for the firm: the bundle it was found
@@ -60,10 +63,6 @@ from .strategy import (
     shortfall_bundle,
 )
 
-# Component-wise slack allowed when checking a bundle against a barrier;
-# buying an exact deficit can land one ulp short.
-_BARRIER_TOL = 1e-9
-
 TRACE_COLUMNS = (
     "run_id",
     "cycle",
@@ -81,16 +80,6 @@ TRACE_COLUMNS = (
     "total_perf",
     "alive",
 )
-
-
-def allocate_market_profit(market: Market) -> float:
-    """Equal per-occupant revenue share: shares * value / occupants.
-
-    Markets with no occupants allocate nothing.
-    """
-    if market.occupants < 1:
-        return 0.0
-    return market.shares * market.share_value / market.occupants
 
 
 def update_share_value(
@@ -262,15 +251,12 @@ class World:
 
     # -- per-cycle machinery -------------------------------------------------
 
-    def _estimate_epsilon(self, firm: Firm) -> float:
-        """Age-linked estimation error: older firms estimate better."""
-        return self.config.noise_amplitude / (1.0 + firm.age)
-
-    def _attempt_entry(self, firm: Firm, market: Market) -> bool:
+    def _attempt_entry(self, firm: Firm, market: Market, eps: float) -> bool:
         """Buy the barrier deficit and join the market if it is then met.
 
-        Leaving the previous market happens only on a successful join, so a
-        failed attempt leaves the firm where it was.
+        `eps`, the firm's estimation error this cycle, weights its purchase
+        in the factor-price noise. Leaving the previous market happens only
+        on a successful join, so a failed attempt leaves the firm where it was.
         """
         deficit = shortfall_bundle(firm, market)
         if deficit.red > 0 or deficit.green > 0 or deficit.blue > 0:
@@ -284,9 +270,9 @@ class World:
             self._demand_green += deficit.green
             self._demand_blue += deficit.blue
             units = deficit.red + deficit.green + deficit.blue
-            self._demand_eps_weight += units * self._estimate_epsilon(firm)
+            self._demand_eps_weight += units * eps
             self._demand_units += units
-        if not firm.resources.dominates(market.barrier, _BARRIER_TOL):
+        if not firm.resources.dominates(market.barrier):
             return False
         column = self.attractiveness
         if firm.market is not None:
@@ -313,7 +299,8 @@ class World:
         # The cycle's one draw block (layout in the module docstring); every
         # IO noise row is built in one expression.
         n_markets = len(markets)
-        firm_eps = [self._estimate_epsilon(firm) for firm in self.firms]
+        # Age-linked estimation error: older firms estimate better.
+        firm_eps = [cfg.noise_amplitude / (1.0 + firm.age) for firm in self.firms]
         io_offsets, io_eps, rbv_offsets = [], [], []
         k = 0
         for firm, eps in zip(self.firms, firm_eps):
@@ -370,7 +357,7 @@ class World:
                 if choice.action is Action.NONE:
                     continue
             if choice.action is Action.ENTER:
-                self._attempt_entry(firm, markets[choice.market])
+                self._attempt_entry(firm, markets[choice.market], eps)
             elif choice.action is Action.SELL_RESOURCE:
                 res = firm.resources
                 kind, _value = largest_holding(res, sfm)
@@ -386,19 +373,13 @@ class World:
             elif choice.action is Action.SELL_OUTPUT:
                 firm.revenue = choice.score
 
-        # (4) markets allocate revenue
-        revenue: dict[int, float] = {}
-        for market in markets:
-            if market.occupants < 1:
-                continue
-            revenue[market.id] = allocate_market_profit(market)
-
-        # (5) costs charged, profits booked
+        # (4)-(5) markets pay each occupant its equal share, costs are
+        # charged, profits booked
         for firm in self.firms:
             if not firm.alive:
                 continue
             if firm.market is not None:
-                firm.revenue = revenue[firm.market]
+                firm.revenue = column.item(firm.market)
             maintenance = cfg.maintenance_rate * total_asset_value(firm, sfm)
             firm.cost += maintenance
             firm.profit = firm.revenue - firm.cost

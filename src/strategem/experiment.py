@@ -45,8 +45,14 @@ CHECKPOINT_FIELDS = (
     "perf_soul_mate",
 )
 
-# Columns whose sign feeds the "Nb of cases where IO > RBV" tallies.
-RELATIVE_DIFF_FIELDS = ("rd_best", "rd_avg5", "rd_avg10", "rd_all")
+# Relative-difference columns -> the (IO, RBV) columns they compare. Their
+# signs feed the "Nb of cases where IO > RBV" tallies.
+RELATIVE_DIFF_FIELDS = {
+    "rd_best": ("best_io", "best_rbv"),
+    "rd_avg5": ("avg5_io", "avg5_rbv"),
+    "rd_avg10": ("avg10_io", "avg10_rbv"),
+    "rd_all": ("avg_all_io", "avg_all_rbv"),
+}
 
 
 def _spread(reduce):
@@ -130,12 +136,8 @@ def _checkpoint_stats(world: World, cycle: int) -> dict[str, float]:
         "avg_all_io": snap.avg_all_io,
         "avg_all_rbv": snap.avg_all_rbv,
     }
-    for name, io_v, rbv_v in (
-        ("rd_best", snap.best_io, snap.best_rbv),
-        ("rd_avg5", snap.avg5_io, snap.avg5_rbv),
-        ("rd_avg10", snap.avg10_io, snap.avg10_rbv),
-        ("rd_all", snap.avg_all_io, snap.avg_all_rbv),
-    ):
+    for name, (io_col, rbv_col) in RELATIVE_DIFF_FIELDS.items():
+        io_v, rbv_v = stats[io_col], stats[rbv_col]
         stats[name] = relative_diff(io_v, rbv_v) if rbv_v != 0 else math.nan
 
     counts = {p: 0 for p in RbvProfile}
@@ -213,8 +215,11 @@ def run_batch(
 ) -> tuple[list[RunSummary], list[dict]]:
     """Execute all runs, write runs.csv / aggregate.csv, return both tables.
 
-    The aggregate is recomputed from the serialized rows, so `aggregate`
-    run later over runs.csv reproduces aggregate.csv byte for byte.
+    Runs come back in id order from the pool and the serial loop alike. The
+    aggregate is taken from the summaries in memory, and `aggregate` run
+    later over runs.csv reproduces aggregate.csv byte for byte: runs.csv
+    writes each double with 17 significant digits, which parse back to the
+    same double (see `aggregate_summaries`).
     """
     batch.validate()
     trace_dir = None
@@ -227,17 +232,11 @@ def run_batch(
             summaries = list(pool.map(_run_task, tasks, chunksize=4))
     else:
         summaries = [_run_task(t) for t in tasks]
-    summaries.sort(key=lambda s: s.run_id)
 
+    aggregate = aggregate_summaries(summaries)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        runs_path = os.path.join(out_dir, "runs.csv")
-        write_runs_csv(runs_path, summaries)
-        rows = read_runs_csv(runs_path)
-    else:
-        rows = summaries
-    aggregate = aggregate_summaries(rows)
-    if out_dir is not None:
+        write_runs_csv(os.path.join(out_dir, "runs.csv"), summaries)
         write_aggregate_csv(os.path.join(out_dir, "aggregate.csv"), aggregate)
     return summaries, aggregate
 
@@ -305,11 +304,17 @@ def aggregate_summaries(summaries: Sequence[RunSummary]) -> list[dict]:
 
     Statistics skip missing (blank) values; st.dev and variance are the
     population forms, so a single run aggregates with zero spread.
+
+    Each column is built as float64, so summaries held in memory and the
+    same summaries read back from runs.csv aggregate to the same bytes:
+    `format_field` writes every double so that `float()` parses it back
+    exactly, integer counts included.
     """
     rows = {stat: {"statistic": stat} for stat in AGGREGATE_REDUCERS}
     for col, cycle, name in _checkpoint_columns(summaries):
         values = np.array(
-            [s.checkpoints.get(cycle, {}).get(name, math.nan) for s in summaries]
+            [s.checkpoints.get(cycle, {}).get(name, math.nan) for s in summaries],
+            dtype=float,
         )
         finite = values[~np.isnan(values)]
         rd_column = name in RELATIVE_DIFF_FIELDS

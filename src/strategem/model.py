@@ -18,6 +18,11 @@ class Strategy(Enum):
     RBV = "RBV"
 
 
+# Component-wise slack allowed when checking a bundle against a barrier;
+# buying an exact deficit can land one ulp short.
+BARRIER_TOL = 1e-9
+
+
 class ResourceBundle:
     """Quantities of the three colored resource types a firm can hold.
 
@@ -36,7 +41,7 @@ class ResourceBundle:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.red, self.green, self.blue)
 
-    def dominates(self, other: "ResourceBundle", tol: float = 1e-9) -> bool:
+    def dominates(self, other: "ResourceBundle", tol: float = BARRIER_TOL) -> bool:
         """True when every component covers `other` up to a float tolerance."""
         return (
             self.red >= other.red - tol

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, exit codes, and output files."""
 
+import csv
 import os
 
 import pytest
@@ -67,24 +68,30 @@ class TestRun:
 
 class TestBatchAndAggregate:
     def test_aggregate_reproduces_batch_aggregate(self, tmp_path):
-        out = str(tmp_path / "out")
-        code = main(
-            ["batch", "--runs", "4", "--cycles", "6", "--out", out,
-             "--set", "sim.n_firms=20", "--set", "sim.n_markets=5",
-             "--set", "sim.checkpoint_cycles=3, 6"]
-        )
-        assert code == 0
-        batch_bytes = open(os.path.join(out, "aggregate.csv"), "rb").read()
+        # A --cycles 0 batch leaves its rd_* and some perf_* fields blank
+        # (NaN), so the byte equality covers blank fields too.
+        for cycles in ("6", "0"):
+            out = str(tmp_path / f"out{cycles}")
+            code = main(
+                ["batch", "--runs", "4", "--cycles", cycles, "--out", out,
+                 "--set", "sim.n_firms=20", "--set", "sim.n_markets=5",
+                 "--set", "sim.checkpoint_cycles=3, 6"]
+            )
+            assert code == 0
+            batch_bytes = open(os.path.join(out, "aggregate.csv"), "rb").read()
+            if cycles == "0":
+                with open(os.path.join(out, "runs.csv")) as fh:
+                    assert next(csv.DictReader(fh))["c0_rd_best"] == ""
 
-        out2 = str(tmp_path / "agg")
-        code = main(["aggregate", os.path.join(out, "runs.csv"), "--out", out2])
-        assert code == 0
-        agg_bytes = open(os.path.join(out2, "aggregate.csv"), "rb").read()
-        assert agg_bytes == batch_bytes
+            out2 = str(tmp_path / f"agg{cycles}")
+            code = main(["aggregate", os.path.join(out, "runs.csv"), "--out", out2])
+            assert code == 0
+            agg_bytes = open(os.path.join(out2, "aggregate.csv"), "rb").read()
+            assert agg_bytes == batch_bytes
 
-        # idempotence: aggregating again changes nothing
-        assert main(["aggregate", os.path.join(out, "runs.csv"), "--out", out2]) == 0
-        assert open(os.path.join(out2, "aggregate.csv"), "rb").read() == agg_bytes
+            # idempotence: aggregating again changes nothing
+            assert main(["aggregate", os.path.join(out, "runs.csv"), "--out", out2]) == 0
+            assert open(os.path.join(out2, "aggregate.csv"), "rb").read() == agg_bytes
 
     def test_aggregate_missing_input_exits_1(self, tmp_path, capsys):
         assert main(["aggregate", str(tmp_path / "nope.csv")]) == 1

@@ -34,6 +34,26 @@ def make_sfm(pr=1.0, pg=1.0, pb=1.0):
     return SfmState(ResourceBundle(1e6, 1e6, 1e6), pr, pg, pb)
 
 
+class TestMarketAttractiveness:
+    """The per-occupant share a market promises is also what it pays."""
+
+    def test_equal_split(self):
+        assert market_attractiveness(make_market(0, 100, 1.0, occupants=4)) == 25.0
+
+    def test_monopoly(self):
+        assert market_attractiveness(make_market(0, 10, 2.0, occupants=1)) == 20.0
+
+    @given(
+        st.sampled_from([10, 100, 1000]),
+        st.floats(0.01, 5.0),
+        st.integers(1, 200),
+    )
+    def test_conservation(self, shares, value, occupants):
+        market = make_market(0, shares, value, occupants=occupants)
+        share = market_attractiveness(market)
+        assert share * occupants == pytest.approx(shares * value, rel=1e-12)
+
+
 class TestIoChooser:
     def test_prefers_higher_expected_profit(self):
         a = make_market(0, 10, 2.0, occupants=4)   # 10*2/4 = 5
