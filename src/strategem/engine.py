@@ -81,6 +81,14 @@ TRACE_COLUMNS = (
     "alive",
 )
 
+# The CSV float format: 17 significant digits, so `float()` reads every
+# double back exactly.
+FLOAT_FORMAT = "%.17g"
+
+# One trace row: run, cycle, firm, strategy, market, cash, the bundle's
+# "red,green,blue" text, tr, tc, profit, roa, total_perf, alive.
+_TRACE_ROW = "%s,%s,%s,%s,%s,{0},%s,{0},{0},{0},{0},{0},%s\n".format(FLOAT_FORMAT)
+
 
 def update_share_value(
     market: Market,
@@ -210,6 +218,8 @@ class World:
         self.firms = self._init_firms()
         # RBV firm id -> (bundle, its rbv_candidate pair); see the module docstring
         self.rbv_candidates: dict[int, tuple[tuple[float, ...], tuple[Market, float]]] = {}
+        # firm id -> (red, green, blue, their "r,g,b" trace text); see write_trace_rows
+        self.trace_bundles: dict[int, tuple[float, float, float, str]] = {}
         self.sfm = SfmState(
             stock=ResourceBundle(
                 config.initial_stock, config.initial_stock, config.initial_stock
@@ -437,7 +447,7 @@ def format_field(value) -> str:
     """One CSV field. Floats carry 17 significant digits so a replay can be
     compared byte for byte; NaN and None are blank, bools lower case."""
     if isinstance(value, float):
-        return "" if math.isnan(value) else format(value, ".17g")
+        return "" if math.isnan(value) else FLOAT_FORMAT % value
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -449,25 +459,77 @@ def write_trace_header(out: IO[str]) -> None:
     out.write(",".join(TRACE_COLUMNS) + "\n")
 
 
+def _fielded_row(world: World, firm: Firm) -> str:
+    """A firm's trace row built field by field with `format_field`."""
+    res = firm.resources
+    row = (
+        world.run_id,
+        world.cycle,
+        firm.id,
+        firm.strategy.value,
+        firm.market,
+        firm.cash,
+        res.red,
+        res.green,
+        res.blue,
+        firm.revenue,
+        firm.cost,
+        firm.profit,
+        firm.instant_perf,
+        firm.total_perf,
+        firm.alive,
+    )
+    return ",".join(format_field(v) for v in row) + "\n"
+
+
 def write_trace_rows(out: IO[str], world: World) -> None:
-    """Append one CSV row per firm of `world`, in TRACE_COLUMNS order."""
+    """Append one CSV row per firm of `world`, in TRACE_COLUMNS order, with
+    one write.
+
+    Each row is one `_TRACE_ROW` format. Its bundle text comes from
+    `World.trace_bundles`, which keeps the component objects the text was
+    made from and makes it again once any component is another object:
+    an untouched component stays the same object, while equal values can
+    print differently (0.0 and -0.0). A row whose cash is not a float (an
+    int `initial_cash` at cycle 0) or that holds a NaN is built by
+    `_fielded_row` instead, since `%.17g` prints an int through a double
+    and NaN as "nan", where `format_field` prints `str` and a blank. The
+    other float columns start at 0.0 and the engine stores only floats in
+    them.
+    """
+    run_id, cycle = world.run_id, world.cycle
+    bundles = world.trace_bundles
+    rows = []
     for firm in world.firms:
         res = firm.resources
-        row = (
-            world.run_id,
-            world.cycle,
-            firm.id,
-            firm.strategy.value,
-            firm.market,
-            firm.cash,
-            res.red,
-            res.green,
-            res.blue,
-            firm.revenue,
-            firm.cost,
-            firm.profit,
-            firm.instant_perf,
-            firm.total_perf,
-            firm.alive,
-        )
-        out.write(",".join(format_field(v) for v in row) + "\n")
+        red, green, blue = res.red, res.green, res.blue
+        memo = bundles.get(firm.id)
+        if memo is None or memo[0] is not red or memo[1] is not green or memo[2] is not blue:
+            memo = bundles[firm.id] = (
+                red,
+                green,
+                blue,
+                f"{format_field(red)},{format_field(green)},{format_field(blue)}",
+            )
+        if type(firm.cash) is float:
+            market = firm.market
+            row = _TRACE_ROW % (
+                run_id,
+                cycle,
+                firm.id,
+                firm.strategy.value,
+                "" if market is None else market,
+                firm.cash,
+                memo[3],
+                firm.revenue,
+                firm.cost,
+                firm.profit,
+                firm.instant_perf,
+                firm.total_perf,
+                "true" if firm.alive else "false",
+            )
+            if "nan" not in row:
+                rows.append(row)
+                continue
+        rows.append(_fielded_row(world, firm))
+    out.write("".join(rows))

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import strategem.engine
 from strategem.engine import (
+    FLOAT_FORMAT,
     World,
+    format_field,
     sfm_buy,
     sfm_sell,
     survival_check,
@@ -303,7 +305,8 @@ class TestCycleMechanics:
             world.step_cycle()
         values = list(world.sfm.prices)
         for firm in world.firms:
-            values += [firm.cash, firm.total_perf, *firm.resources.as_tuple()]
+            values += [firm.cash, firm.revenue, firm.cost, firm.profit]
+            values += [firm.instant_perf, firm.total_perf, *firm.resources.as_tuple()]
         assert {type(v) for v in values} == {float}
 
     @pytest.mark.parametrize("noise_amplitude", [0.3, 0.0])
@@ -383,6 +386,102 @@ class TestCycleMechanics:
         assert rescans > 0
 
 
+def _fielded_rows(world):
+    """`world`'s trace rows built field by field with `format_field`."""
+    lines = []
+    for firm in world.firms:
+        res = firm.resources
+        row = (
+            world.run_id,
+            world.cycle,
+            firm.id,
+            firm.strategy.value,
+            firm.market,
+            firm.cash,
+            res.red,
+            res.green,
+            res.blue,
+            firm.revenue,
+            firm.cost,
+            firm.profit,
+            firm.instant_perf,
+            firm.total_perf,
+            firm.alive,
+        )
+        lines.append(",".join(format_field(v) for v in row) + "\n")
+    return "".join(lines)
+
+
+def _trace_text(world):
+    out = io.StringIO()
+    write_trace_rows(out, world)
+    return out.getvalue()
+
+
+class TestTraceRows:
+    @given(st.floats(allow_nan=False))
+    def test_float_format_equals_format_17g(self, value):
+        assert FLOAT_FORMAT % value == format(value, ".17g")
+
+    def test_edge_values_match_per_field_rows(self):
+        world = make_world(seed=2, n_firms=4, n_markets=2)
+        world.step_cycle()
+        unplaced, extreme, nan, dead = world.firms
+        unplaced.market = None
+        extreme.market = 1
+        extreme.cash = math.inf
+        extreme.revenue = -math.inf
+        extreme.cost = -0.0
+        extreme.profit = 5e-324
+        extreme.instant_perf = -5e-324
+        extreme.resources = ResourceBundle(-0.0, 5e-324, math.inf)
+        nan.cash = math.nan
+        nan.total_perf = math.nan
+        nan.resources = ResourceBundle(math.nan, 1.0, 2.0)
+        dead.alive = False
+        dead.market = 0
+        text = _trace_text(world)
+        assert text == _fielded_rows(world)
+        lines = text.splitlines()
+        assert lines[0].split(",")[4] == ""
+        assert lines[1].split(",")[5:12] == [
+            "inf", "-0", "4.9406564584124654e-324", "inf", "-inf", "-0",
+            "4.9406564584124654e-324",
+        ]
+        nan_fields = lines[2].split(",")
+        assert (nan_fields[5], nan_fields[6], nan_fields[13]) == ("", "", "")
+        assert lines[3].endswith(",false")
+
+    @pytest.mark.parametrize("cash", [1000, 10**17])
+    def test_int_initial_cash_at_cycle_zero(self, cash):
+        world = make_world(seed=3, n_firms=4, n_markets=2, initial_cash=cash)
+        text = _trace_text(world)
+        assert text == _fielded_rows(world)
+        assert {line.split(",")[5] for line in text.splitlines()} == {str(cash)}
+
+    def test_bundle_text_follows_in_place_trades(self):
+        world = make_world(seed=4, n_firms=4, n_markets=2)
+        world.step_cycle()
+        firm = world.firms[1]
+        assert _trace_text(world) == _fielded_rows(world)
+        before = firm.resources.as_tuple()
+        assert sfm_buy(firm, ResourceBundle(1.0, 0.0, 2.0), world.sfm) is not None
+        assert _trace_text(world) == _fielded_rows(world)
+        assert firm.resources.as_tuple() != before
+        sfm_sell(firm, ResourceBundle(0.5, 0.0, 0.0), world.sfm)
+        text = _trace_text(world)
+        assert text == _fielded_rows(world)
+        res = firm.resources
+        assert text.splitlines()[1].split(",")[6:9] == [
+            format_field(res.red), format_field(res.green), format_field(res.blue)
+        ]
+        # Equal values can print differently, so a new object is a new text.
+        res.green = -0.0
+        assert _trace_text(world).splitlines()[1].split(",")[7] == "-0"
+        res.green = 0.0
+        assert _trace_text(world).splitlines()[1].split(",")[7] == "0"
+
+
 class TestWholeRunInvariants:
     def test_long_run_bookkeeping(self):
         world = make_world(seed=7)
@@ -452,6 +551,7 @@ class TestRandomConfigInvariants:
         for _ in range(cfg.n_cycles):
             v_pre = {m.id: m.share_value for m in world.markets}
             world.step_cycle()
+            assert _trace_text(world) == _fielded_rows(world)
             for firm in world.firms:
                 assert min(firm.resources.as_tuple()) >= 0.0
                 assert math.isfinite(firm.cash)
