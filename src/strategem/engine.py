@@ -361,7 +361,6 @@ class World:
                     sfm,
                     output_fraction=cfg.output_fraction,
                     noise=noise,
-                    literal_sign=cfg.literal_distance_sign,
                     candidate=memo[1],
                 )
                 if choice.action is Action.NONE:
@@ -459,29 +458,6 @@ def write_trace_header(out: IO[str]) -> None:
     out.write(",".join(TRACE_COLUMNS) + "\n")
 
 
-def _fielded_row(world: World, firm: Firm) -> str:
-    """A firm's trace row built field by field with `format_field`."""
-    res = firm.resources
-    row = (
-        world.run_id,
-        world.cycle,
-        firm.id,
-        firm.strategy.value,
-        firm.market,
-        firm.cash,
-        res.red,
-        res.green,
-        res.blue,
-        firm.revenue,
-        firm.cost,
-        firm.profit,
-        firm.instant_perf,
-        firm.total_perf,
-        firm.alive,
-    )
-    return ",".join(format_field(v) for v in row) + "\n"
-
-
 def write_trace_rows(out: IO[str], world: World) -> None:
     """Append one CSV row per firm of `world`, in TRACE_COLUMNS order, with
     one write.
@@ -491,11 +467,11 @@ def write_trace_rows(out: IO[str], world: World) -> None:
     made from and makes it again once any component is another object:
     an untouched component stays the same object, while equal values can
     print differently (0.0 and -0.0). A row whose cash is not a float (an
-    int `initial_cash` at cycle 0) or that holds a NaN is built by
-    `_fielded_row` instead, since `%.17g` prints an int through a double
-    and NaN as "nan", where `format_field` prints `str` and a blank. The
-    other float columns start at 0.0 and the engine stores only floats in
-    them.
+    int `initial_cash` at cycle 0) or that holds a NaN joins the same
+    values through `format_field` instead, since `%.17g` prints an int
+    through a double and NaN as "nan", where `format_field` prints `str`
+    and a blank; it returns the text and int values unchanged. The other
+    float columns start at 0.0 and the engine stores only floats in them.
     """
     run_id, cycle = world.run_id, world.cycle
     bundles = world.trace_bundles
@@ -511,25 +487,25 @@ def write_trace_rows(out: IO[str], world: World) -> None:
                 blue,
                 f"{format_field(red)},{format_field(green)},{format_field(blue)}",
             )
+        values = (
+            run_id,
+            cycle,
+            firm.id,
+            firm.strategy.value,
+            "" if firm.market is None else firm.market,
+            firm.cash,
+            memo[3],
+            firm.revenue,
+            firm.cost,
+            firm.profit,
+            firm.instant_perf,
+            firm.total_perf,
+            "true" if firm.alive else "false",
+        )
         if type(firm.cash) is float:
-            market = firm.market
-            row = _TRACE_ROW % (
-                run_id,
-                cycle,
-                firm.id,
-                firm.strategy.value,
-                "" if market is None else market,
-                firm.cash,
-                memo[3],
-                firm.revenue,
-                firm.cost,
-                firm.profit,
-                firm.instant_perf,
-                firm.total_perf,
-                "true" if firm.alive else "false",
-            )
+            row = _TRACE_ROW % values
             if "nan" not in row:
                 rows.append(row)
                 continue
-        rows.append(_fielded_row(world, firm))
+        rows.append(",".join(map(format_field, values)) + "\n")
     out.write("".join(rows))

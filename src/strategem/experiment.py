@@ -11,7 +11,7 @@ import contextlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -124,18 +124,9 @@ def _checkpoint_stats(world: World, cycle: int) -> dict[str, float]:
     firms = world.firms
     snap = top_k_snapshot(firms, 10, cycle)
     stats: dict[str, float] = {
-        "io_in_top10": snap.io_in_top10,
-        "rbv_in_top10": snap.rbv_in_top10,
-        "best_io": snap.best_io,
-        "best_rbv": snap.best_rbv,
-        "best_is_rbv": 1.0 if snap.best_is_rbv else 0.0,
-        "avg5_io": snap.avg5_io,
-        "avg5_rbv": snap.avg5_rbv,
-        "avg10_io": snap.avg10_io,
-        "avg10_rbv": snap.avg10_rbv,
-        "avg_all_io": snap.avg_all_io,
-        "avg_all_rbv": snap.avg_all_rbv,
+        f.name: getattr(snap, f.name) for f in fields(snap) if f.name != "cycle"
     }
+    stats["best_is_rbv"] = 1.0 if snap.best_is_rbv else 0.0
     for name, (io_col, rbv_col) in RELATIVE_DIFF_FIELDS.items():
         io_v, rbv_v = stats[io_col], stats[rbv_col]
         stats[name] = relative_diff(io_v, rbv_v) if rbv_v != 0 else math.nan

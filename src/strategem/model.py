@@ -7,7 +7,8 @@ plain value type safe to snapshot and compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 
 
@@ -227,6 +228,12 @@ class SimConfig:
     literal_distance_sign: bool = False
 
     def validate(self) -> None:
+        # NaN passes every comparison below; an infinite stock is unlimited supply.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v) and (v != math.inf or f.name != "initial_stock"):
+                    raise ValueError(f"{f.name} must be finite, not {v}")
         if self.n_firms < 1 or self.n_markets < 1:
             raise ValueError("n_firms and n_markets must be >= 1")
         if self.n_firms % 2 != 0:

@@ -14,6 +14,8 @@ OUT_OF_RANGE = (
     "sim.price_floor=0",
     "sim.value_floor=-1",
     "sim.initial_stock=-1",
+    "sim.crowding=nan",
+    "sim.share_value_range=0.5, inf",
 )
 
 

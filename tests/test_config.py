@@ -1,7 +1,10 @@
-"""INI config parsing, dumping, and override handling."""
+"""INI config parsing, dumping, override handling, and the non-finite rule."""
 
+import dataclasses
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from strategem.config import (
@@ -10,6 +13,7 @@ from strategem.config import (
     dump_config,
     load_config,
 )
+from strategem.engine import World
 from strategem.experiment import BatchConfig
 from strategem.model import SimConfig
 
@@ -104,3 +108,35 @@ class TestOverrides:
     def test_bad_overrides_rejected(self, key, value):
         with pytest.raises(ConfigError):
             apply_override(BatchConfig(), key, value)
+
+
+def _non_finite_cases():
+    """(field, value) for NaN and +-inf in each float field and in each
+    element of each tuple field, less the accepted `initial_stock = inf`."""
+    defaults = SimConfig()
+    for f in dataclasses.fields(defaults):
+        value = getattr(defaults, f.name)
+        for bad in (math.nan, math.inf, -math.inf):
+            if isinstance(value, float):
+                if not (f.name == "initial_stock" and bad == math.inf):
+                    yield pytest.param(f.name, bad, id=f"{f.name}={bad}")
+            elif isinstance(value, tuple):
+                for i in range(len(value)):
+                    bad_tuple = value[:i] + (bad,) + value[i + 1:]
+                    yield pytest.param(f.name, bad_tuple, id=f"{f.name}[{i}]={bad}")
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("name,value", _non_finite_cases())
+    def test_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{name: value}).validate()
+
+    def test_infinite_stock_runs_finite(self):
+        config = SimConfig(initial_stock=math.inf)
+        config.validate()
+        world = World(config, np.random.Generator(np.random.PCG64(3)))
+        for _ in range(30):
+            world.step_cycle()
+        for firm in world.firms:
+            assert math.isfinite(firm.cash) and math.isfinite(firm.total_perf)

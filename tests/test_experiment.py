@@ -8,6 +8,7 @@ import pytest
 
 from strategem import experiment
 from strategem.experiment import (
+    CHECKPOINT_FIELDS,
     BatchConfig,
     RunSummary,
     aggregate_summaries,
@@ -56,6 +57,15 @@ class TestRunOne:
     def test_checkpoints_match_config(self):
         summary = run_one(7, small_sim())
         assert sorted(summary.checkpoints) == [5, 10]
+
+    @pytest.mark.parametrize("sim", [small_sim(n_cycles=0), small_sim()])
+    def test_checkpoints_hold_exactly_the_csv_fields(self, sim):
+        # A StrategySnapshot field missing from CHECKPOINT_FIELDS would
+        # otherwise drop out of runs.csv without an error.
+        summary = run_one(derive_seed(0, 1), sim)
+        assert summary.checkpoints
+        for stats in summary.checkpoints.values():
+            assert sorted(stats) == sorted(CHECKPOINT_FIELDS)
 
     def test_invalid_config_aborts_before_cycles(self):
         with pytest.raises(ValueError):
