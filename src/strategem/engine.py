@@ -33,6 +33,13 @@ candidate depends only on the bundle, the barriers and
 the sign is fixed per run, so a bundle key is enough. A firm whose bundle
 differs from its key, after any trade, is scanned afresh; the key is the
 bundle's values, so no trade path has to clear it.
+
+An entry buys the barrier deficit through `sfm_buy`. A zero deficit means
+the bundle already meets the barrier, its components being finite, so such
+a join buys nothing. `step_cycle` binds the functions it calls to locals
+once per call, never at import, so a function swapped on this module for a
+run (as a tracer that wraps functions by name does) is still the one called,
+and as often.
 """
 
 from __future__ import annotations
@@ -55,12 +62,12 @@ from .model import (
 )
 from .strategy import (
     Action,
+    barrier_deficit,
     io_choose_market,
     largest_holding,
     market_attractiveness,
     rbv_candidate,
     rbv_choose_market,
-    shortfall_bundle,
 )
 
 TRACE_COLUMNS = (
@@ -88,6 +95,8 @@ FLOAT_FORMAT = "%.17g"
 # One trace row: run, cycle, firm, strategy, market, cash, the bundle's
 # "red,green,blue" text, tr, tc, profit, roa, total_perf, alive.
 _TRACE_ROW = "%s,%s,%s,%s,%s,{0},%s,{0},{0},{0},{0},{0},%s\n".format(FLOAT_FORMAT)
+# The strategy column's text; `Enum.value` is a property, slow once per row.
+_IO_TEXT, _RBV_TEXT = Strategy.IO.value, Strategy.RBV.value
 
 
 def update_share_value(
@@ -268,22 +277,22 @@ class World:
         in the factor-price noise. Leaving the previous market happens only
         on a successful join, so a failed attempt leaves the firm where it was.
         """
-        deficit = shortfall_bundle(firm, market)
-        if deficit.red > 0 or deficit.green > 0 or deficit.blue > 0:
+        dr, dg, db = barrier_deficit(firm, market)
+        if dr > 0 or dg > 0 or db > 0:
             # A firm that cannot buy the whole deficit stays out this cycle
             # and retries later; no partial siege purchases.
-            cost = sfm_buy(firm, deficit, self.sfm)
+            cost = sfm_buy(firm, ResourceBundle(dr, dg, db), self.sfm)
             if cost is None:
                 return False
             firm.cost += cost
-            self._demand_red += deficit.red
-            self._demand_green += deficit.green
-            self._demand_blue += deficit.blue
-            units = deficit.red + deficit.green + deficit.blue
+            self._demand_red += dr
+            self._demand_green += dg
+            self._demand_blue += db
+            units = dr + dg + db
             self._demand_eps_weight += units * eps
             self._demand_units += units
-        if not firm.resources.dominates(market.barrier):
-            return False
+            if not firm.resources.dominates(market.barrier):
+                return False
         column = self.attractiveness
         if firm.market is not None:
             left = self.markets[firm.market]
@@ -298,8 +307,15 @@ class World:
         cfg = self.config
         rng = self.rng
         markets = self.markets
+        firms = self.firms
         sfm = self.sfm
         self.cycle += 1
+        # Bound once per call, not at import (see the module docstring).
+        io = Strategy.IO
+        enter, sell_resource, sell_output = Action.ENTER, Action.SELL_RESOURCE, Action.SELL_OUTPUT
+        choose_io, choose_rbv, candidate_of = io_choose_market, rbv_choose_market, rbv_candidate
+        attempt_entry = self._attempt_entry
+        asset_value, roa_of, survives = total_asset_value, instant_roa, survival_check
 
         self._demand_red = self._demand_green = self._demand_blue = 0.0
         self._supply_red = self._supply_green = self._supply_blue = 0.0
@@ -309,14 +325,16 @@ class World:
         # The cycle's one draw block (layout in the module docstring); every
         # IO noise row is built in one expression.
         n_markets = len(markets)
-        # Age-linked estimation error: older firms estimate better.
-        firm_eps = [cfg.noise_amplitude / (1.0 + firm.age) for firm in self.firms]
-        io_offsets, io_eps, rbv_offsets = [], [], []
+        noise_amplitude = cfg.noise_amplitude
+        firm_eps, io_offsets, io_eps, rbv_offsets = [], [], [], []
         k = 0
-        for firm, eps in zip(self.firms, firm_eps):
+        for firm in firms:
+            # Age-linked estimation error: older firms estimate better.
+            eps = noise_amplitude / (1.0 + firm.age)
+            firm_eps.append(eps)
             if not firm.alive or eps <= 0.0:
                 continue
-            if firm.strategy is Strategy.IO:
+            if firm.strategy is io:
                 io_offsets.append(k)
                 io_eps.append(eps)
                 k += n_markets
@@ -334,40 +352,37 @@ class World:
         # opportunity.
         column = self.attractiveness = np.array([market_attractiveness(m) for m in markets])
         candidates = self.rbv_candidates
-        for firm, eps in zip(self.firms, firm_eps):
+        literal_sign, output_fraction = cfg.literal_distance_sign, cfg.output_fraction
+        for firm, eps in zip(firms, firm_eps):
             firm.revenue = firm.cost = firm.profit = 0.0
             if not firm.alive:
                 firm.instant_perf = 0.0
                 continue
-            if firm.strategy is Strategy.IO:
+            if firm.strategy is io:
                 noise = next(io_rows) if eps > 0.0 else None
-                choice = io_choose_market(firm, markets, noise, column)
-                if choice.market == firm.market:
-                    continue
-            else:
-                if firm.market is not None:
-                    continue  # locked in
-                noise = 1.0 + eps * (2.0 * next(rbv_draws) - 1.0) if eps > 0.0 else 1.0
-                bundle = firm.resources.as_tuple()
-                memo = candidates.get(firm.id)
-                if memo is None or memo[0] != bundle:
-                    memo = candidates[firm.id] = (
-                        bundle,
-                        rbv_candidate(firm, markets, cfg.literal_distance_sign),
-                    )
-                choice = rbv_choose_market(
-                    firm,
-                    markets,
-                    sfm,
-                    output_fraction=cfg.output_fraction,
-                    noise=noise,
-                    candidate=memo[1],
-                )
-                if choice.action is Action.NONE:
-                    continue
-            if choice.action is Action.ENTER:
-                self._attempt_entry(firm, markets[choice.market], eps)
-            elif choice.action is Action.SELL_RESOURCE:
+                choice = choose_io(firm, markets, noise, column)
+                if choice.market != firm.market:
+                    attempt_entry(firm, markets[choice.market], eps)
+                continue
+            if firm.market is not None:
+                continue  # locked in
+            noise = 1.0 + eps * (2.0 * next(rbv_draws) - 1.0) if eps > 0.0 else 1.0
+            bundle = firm.resources.as_tuple()
+            memo = candidates.get(firm.id)
+            if memo is None or memo[0] != bundle:
+                memo = candidates[firm.id] = (bundle, candidate_of(firm, markets, literal_sign))
+            choice = choose_rbv(
+                firm,
+                markets,
+                sfm,
+                output_fraction=output_fraction,
+                noise=noise,
+                candidate=memo[1],
+            )
+            action = choice.action
+            if action is enter:
+                attempt_entry(firm, markets[choice.market], eps)
+            elif action is sell_resource:
                 res = firm.resources
                 kind, _value = largest_holding(res, sfm)
                 offer = ResourceBundle(
@@ -379,17 +394,19 @@ class World:
                 self._supply_red += offer.red
                 self._supply_green += offer.green
                 self._supply_blue += offer.blue
-            elif choice.action is Action.SELL_OUTPUT:
+            elif action is sell_output:
                 firm.revenue = choice.score
 
         # (4)-(5) markets pay each occupant its equal share, costs are
         # charged, profits booked
-        for firm in self.firms:
+        payouts = column.tolist()
+        maintenance_rate = cfg.maintenance_rate
+        for firm in firms:
             if not firm.alive:
                 continue
             if firm.market is not None:
-                firm.revenue = column.item(firm.market)
-            maintenance = cfg.maintenance_rate * total_asset_value(firm, sfm)
+                firm.revenue = payouts[firm.market]
+            maintenance = maintenance_rate * asset_value(firm, sfm)
             firm.cost += maintenance
             firm.profit = firm.revenue - firm.cost
             # Purchases already left the cash account in sfm_buy, so only
@@ -418,14 +435,15 @@ class World:
         )
 
         # (7)-(9) performance update, survival, aging
-        for firm in self.firms:
+        grace = cfg.bankruptcy_grace
+        for firm in firms:
             if not firm.alive:
                 continue
-            assets = total_asset_value(firm, sfm)
-            roa = instant_roa(firm.profit, assets)
+            assets = asset_value(firm, sfm)
+            roa = roa_of(firm.profit, assets)
             firm.instant_perf = roa
             firm.total_perf += roa
-            if not survival_check(firm, assets, cfg.bankruptcy_grace):
+            if not survives(firm, assets, grace):
                 # The market tag stays on the corpse (profiling reads it),
                 # but only alive firms count as occupants.
                 firm.alive = False
@@ -475,6 +493,7 @@ def write_trace_rows(out: IO[str], world: World) -> None:
     """
     run_id, cycle = world.run_id, world.cycle
     bundles = world.trace_bundles
+    io = Strategy.IO
     rows = []
     for firm in world.firms:
         res = firm.resources
@@ -491,7 +510,7 @@ def write_trace_rows(out: IO[str], world: World) -> None:
             run_id,
             cycle,
             firm.id,
-            firm.strategy.value,
+            _IO_TEXT if firm.strategy is io else _RBV_TEXT,
             "" if firm.market is None else firm.market,
             firm.cash,
             memo[3],

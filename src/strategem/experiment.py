@@ -131,12 +131,18 @@ def _checkpoint_stats(world: World, cycle: int) -> dict[str, float]:
         io_v, rbv_v = stats[io_col], stats[rbv_col]
         stats[name] = relative_diff(io_v, rbv_v) if rbv_v != 0 else math.nan
 
+    # Each RBV firm is classified against its own market's alive IO firms,
+    # in firm order, which is all of `firms` that classify_rbv's filter keeps.
+    io_by_market: dict[int, list] = {}
+    for firm in firms:
+        if firm.alive and firm.market is not None and firm.strategy is Strategy.IO:
+            io_by_market.setdefault(firm.market, []).append(firm)
     counts = {p: 0 for p in RbvProfile}
     perf_sums = {p: 0.0 for p in RbvProfile}
     for firm in firms:
         if firm.strategy is not Strategy.RBV:
             continue
-        profile = classify_rbv(firm, firms)
+        profile = classify_rbv(firm, io_by_market.get(firm.market, ()))
         counts[profile] += 1
         perf_sums[profile] += firm.total_perf
     for profile, key in (

@@ -240,6 +240,8 @@ class SimConfig:
             raise ValueError("n_firms must be even (firms split 50/50 IO/RBV)")
         if self.n_cycles < 0:
             raise ValueError("n_cycles must be >= 0")
+        if any(c < 1 for c in self.checkpoint_cycles):
+            raise ValueError("checkpoint_cycles must be >= 1")
         if not self.market_size_choices:
             raise ValueError("market_size_choices must be non-empty")
         if any(s < 1 for s in self.market_size_choices):

@@ -64,7 +64,8 @@ def market_attractiveness(market: Market) -> float:
     An empty market promises its full value to a sole entrant, so the
     divisor is floored at 1.
     """
-    return market.shares * market.share_value / max(market.occupants, 1)
+    occupants = market.occupants
+    return market.shares * market.share_value / (occupants if occupants > 1 else 1)
 
 
 def io_choose_market(

@@ -16,6 +16,7 @@ OUT_OF_RANGE = (
     "sim.initial_stock=-1",
     "sim.crowding=nan",
     "sim.share_value_range=0.5, inf",
+    "sim.checkpoint_cycles=0",
 )
 
 

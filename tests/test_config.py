@@ -1,4 +1,5 @@
-"""INI config parsing, dumping, override handling, and the non-finite rule."""
+"""INI config parsing, dumping, override handling, and the non-finite and
+checkpoint-cycle rules."""
 
 import dataclasses
 import math
@@ -124,6 +125,17 @@ def _non_finite_cases():
                 for i in range(len(value)):
                     bad_tuple = value[:i] + (bad,) + value[i + 1:]
                     yield pytest.param(f.name, bad_tuple, id=f"{f.name}[{i}]={bad}")
+
+
+class TestCheckpointCycles:
+    @pytest.mark.parametrize("cycles", [(0,), (-5,), (20, 0), (0, -5)])
+    def test_below_one_rejected(self, cycles):
+        with pytest.raises(ValueError, match="checkpoint_cycles"):
+            SimConfig(checkpoint_cycles=cycles).validate()
+
+    @pytest.mark.parametrize("cycles", [(), (1,), (20, 200)])
+    def test_accepted(self, cycles):
+        SimConfig(checkpoint_cycles=cycles).validate()
 
 
 class TestNonFinite:

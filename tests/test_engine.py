@@ -280,6 +280,96 @@ class TestStepCycle:
         assert firm.resources.as_tuple() == bundle_before
         assert market.occupants == 0
 
+    def _recording_buys(self, monkeypatch):
+        buys = []
+
+        def recording(firm, wanted, sfm):
+            cost = sfm_buy(firm, wanted, sfm)
+            buys.append((firm.id, wanted.as_tuple(), cost))
+            return cost
+
+        monkeypatch.setattr(strategem.engine, "sfm_buy", recording)
+        return buys
+
+    def test_zero_deficit_joins_without_buying(self, monkeypatch):
+        # Both firms hold exactly the barrier, so entry is free: each splits
+        # 10 shares * value 2 and no cost is booked.
+        buys = self._recording_buys(monkeypatch)
+        world = _controlled_world(barrier_sum_range=(300.0, 300.0))
+        barrier = world.markets[0].barrier.as_tuple()
+        assert min(barrier) < max(barrier)
+        for firm in world.firms:
+            firm.resources = ResourceBundle(*barrier)
+        stock_before = world.sfm.stock.as_tuple()
+        world.step_cycle()
+        assert buys == []
+        assert world.sfm.stock.as_tuple() == stock_before
+        assert world.markets[0].occupants == 2
+        for firm in world.firms:
+            assert firm.market == 0
+            assert firm.resources.as_tuple() == barrier
+            assert firm.cost == 0.0
+            assert firm.cash == 100.0 + 10.0
+
+    def test_affordable_deficit_buys_exactly_the_deficit(self, monkeypatch):
+        # Firms start empty with 100 cash; the 300-unit barrier costs 3 at
+        # the initial price of 0.01.
+        buys = self._recording_buys(monkeypatch)
+        world = _controlled_world(barrier_sum_range=(300.0, 300.0), initial_price=0.01)
+        barrier = world.markets[0].barrier.as_tuple()
+        stock_before = world.sfm.stock.as_tuple()
+        world.step_cycle()
+        assert sorted(firm_id for firm_id, _, _ in buys) == [0, 1]
+        for firm_id, wanted, cost in buys:
+            firm = world.firms[firm_id]
+            assert wanted == barrier
+            assert cost == pytest.approx(3.0, rel=1e-12)
+            assert firm.market == 0
+            assert firm.resources.as_tuple() == barrier
+            assert firm.cost == cost
+            assert firm.cash == 100.0 - cost + 10.0
+        for before, after, wanted in zip(stock_before, world.sfm.stock.as_tuple(), barrier):
+            assert after == before - wanted - wanted
+
+
+class TestTracerHooks:
+    """`step_cycle` reaches these functions through `strategem.engine`'s
+    module globals, as often as a function-wrapping tracer counts them."""
+
+    HOOKS = (
+        "sfm_buy",
+        "sfm_sell",
+        "update_share_value",
+        "update_sfm_prices",
+        "survival_check",
+        "total_asset_value",
+    )
+
+    def test_step_cycle_calls_the_module_hooks(self, monkeypatch):
+        calls = dict.fromkeys(self.HOOKS, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.HOOKS:
+            monkeypatch.setattr(
+                strategem.engine, name, counting(name, getattr(strategem.engine, name))
+            )
+        world = make_world(seed=9)
+        cycles, alive_at_settlement = 5, 0
+        for _ in range(cycles):
+            alive_at_settlement += sum(firm.alive for firm in world.firms)
+            world.step_cycle()
+        assert calls["update_share_value"] == cycles * len(world.markets)
+        assert calls["update_sfm_prices"] == cycles
+        assert calls["survival_check"] == alive_at_settlement
+        assert calls["sfm_buy"] > 0
+        assert calls["total_asset_value"] > 0
+
 
 class _RecordingRng:
     """Forwards to a Generator and records the name of each method called."""
