@@ -5,18 +5,17 @@ One `World` owns all mutable state for a run and a private RNG stream;
 from the same config and seed produce bit-identical histories.
 
 Cycle order: firms act (choose / trade / enter) in ascending id, markets
-pay out, costs are charged, share values and factor prices update, ROA and
-survival are settled, and ages tick.
+pay out, costs are charged, share values and factor prices update, and ROA
+and survival are settled.
 
 Each cycle draws all its random numbers with one `rng.random(k)` call. The
 block holds, in ascending firm id, `n_markets` draws for each live IO firm
 and one draw for each live RBV firm with no market, in both cases only
-while the firm's estimation error `noise_amplitude / (1 + age)` is above
-zero; after those come `n_markets` share-value draws and 3 price draws.
-Nothing in the acting phase changes a firm's age, its `alive` flag or the
-market of any firm but the one acting, so the layout is fixed at the top of
-the cycle, and the block holds the same doubles that separate draws in that
-order would give.
+while the cycle's estimation error `noise_amplitude / cycle` is above zero;
+after those come `n_markets` share-value draws and 3 price draws. Nothing
+in the acting phase changes a firm's `alive` flag or the market of any firm
+but the one acting, so the layout is fixed at the top of the cycle, and the
+block holds the same doubles that separate draws in that order would give.
 
 IO firms choose with `strategy.io_choose_market` over `World.attractiveness`,
 a column of `market_attractiveness` values rebuilt at the top of each
@@ -273,7 +272,7 @@ class World:
     def _attempt_entry(self, firm: Firm, market: Market, eps: float) -> bool:
         """Buy the barrier deficit and join the market if it is then met.
 
-        `eps`, the firm's estimation error this cycle, weights its purchase
+        `eps`, the cycle's estimation error, weights the firm's purchase
         in the factor-price noise. Leaving the previous market happens only
         on a successful join, so a failed attempt leaves the firm where it was.
         """
@@ -322,29 +321,24 @@ class World:
         self._demand_eps_weight = 0.0
         self._demand_units = 0.0
 
-        # The cycle's one draw block (layout in the module docstring); every
-        # IO noise row is built in one expression.
+        # The cycle's estimation error: every firm was founded at cycle 0, so
+        # all share one age, and older firms estimate better. The firm draws
+        # of the cycle's one block (layout in the module docstring) become
+        # one noise array, which the acting phase walks with a cursor in
+        # firm order; it is empty, and never read, while k is 0.
         n_markets = len(markets)
-        noise_amplitude = cfg.noise_amplitude
-        firm_eps, io_offsets, io_eps, rbv_offsets = [], [], [], []
+        eps = cfg.noise_amplitude / self.cycle
         k = 0
-        for firm in firms:
-            # Age-linked estimation error: older firms estimate better.
-            eps = noise_amplitude / (1.0 + firm.age)
-            firm_eps.append(eps)
-            if not firm.alive or eps <= 0.0:
-                continue
-            if firm.strategy is io:
-                io_offsets.append(k)
-                io_eps.append(eps)
-                k += n_markets
-            elif firm.market is None:
-                rbv_offsets.append(k)
-                k += 1
+        if eps > 0.0:
+            for firm in firms:
+                if firm.alive:
+                    if firm.strategy is io:
+                        k += n_markets
+                    elif firm.market is None:
+                        k += 1
         draws = rng.random(k + n_markets + 3)
-        io_u = draws[np.array(io_offsets, dtype=np.intp)[:, None] + np.arange(n_markets)]
-        io_rows = iter(1.0 + np.array(io_eps)[:, None] * (2.0 * io_u - 1.0))
-        rbv_draws = iter(draws[rbv_offsets].tolist())
+        noises = 1.0 + eps * (2.0 * draws[:k] - 1.0)
+        pos = 0
 
         # (1)-(3) firms act in ascending id against live market state: each
         # decision sees the occupancy left by every earlier mover in the
@@ -353,20 +347,22 @@ class World:
         column = self.attractiveness = np.array([market_attractiveness(m) for m in markets])
         candidates = self.rbv_candidates
         literal_sign, output_fraction = cfg.literal_distance_sign, cfg.output_fraction
-        for firm, eps in zip(firms, firm_eps):
+        for firm in firms:
             firm.revenue = firm.cost = firm.profit = 0.0
             if not firm.alive:
                 firm.instant_perf = 0.0
                 continue
             if firm.strategy is io:
-                noise = next(io_rows) if eps > 0.0 else None
+                noise = noises[pos:pos + n_markets] if k else None
+                pos += n_markets
                 choice = choose_io(firm, markets, noise, column)
                 if choice.market != firm.market:
                     attempt_entry(firm, markets[choice.market], eps)
                 continue
             if firm.market is not None:
                 continue  # locked in
-            noise = 1.0 + eps * (2.0 * next(rbv_draws) - 1.0) if eps > 0.0 else 1.0
+            noise = noises.item(pos) if k else 1.0
+            pos += 1
             bundle = firm.resources.as_tuple()
             memo = candidates.get(firm.id)
             if memo is None or memo[0] != bundle:
@@ -434,7 +430,7 @@ class World:
             cfg.price_floor,
         )
 
-        # (7)-(9) performance update, survival, aging
+        # (7)-(8) performance update, survival
         grace = cfg.bankruptcy_grace
         for firm in firms:
             if not firm.alive:
@@ -449,7 +445,6 @@ class World:
                 firm.alive = False
                 if firm.market is not None:
                     markets[firm.market].occupants -= 1
-            firm.age += 1
 
     def recount_occupants(self) -> dict[int, int]:
         """Occupant counts recomputed from firm attachments (alive only)."""

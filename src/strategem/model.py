@@ -83,7 +83,6 @@ class Firm:
         "market",
         "instant_perf",
         "total_perf",
-        "age",
         "alive",
         "negative_cash_streak",
         "revenue",
@@ -105,7 +104,6 @@ class Firm:
         self.market: int | None = None
         self.instant_perf = 0.0
         self.total_perf = 0.0
-        self.age = 0
         self.alive = True
         # Consecutive cycles spent with cash <= 0; drives the bankruptcy rule.
         self.negative_cash_streak = 0
@@ -174,6 +172,15 @@ class SfmState:
 
     def __repr__(self):
         return f"SfmState(prices={self.prices}, stock={self.stock!r})"
+
+
+# The largest market size, share value, factor price or initial cash, and
+# the largest |price_alpha|, |value_noise| or |output_fraction|, that
+# `SimConfig.validate()` accepts. Past them money and prices can overflow
+# to inf, and ROA to NaN, within a run; with every one of them at its bound
+# a 200-cycle run peaks near 1e214 (tests/test_engine.py).
+MAX_SCALE = 1e100
+MAX_RATE = 1e6
 
 
 @dataclass
@@ -283,6 +290,14 @@ class SimConfig:
             raise ValueError("initial_price and price_floor must be > 0")
         if self.initial_stock < 0:
             raise ValueError("initial_stock must be >= 0")
+        for name in ("market_size_choices", "share_value_range", "value_floor",
+                     "initial_price", "price_floor", "initial_cash"):
+            value = getattr(self, name)
+            if max(value if isinstance(value, tuple) else (value,)) > MAX_SCALE:
+                raise ValueError(f"{name} must be <= {MAX_SCALE:g}")
+        for name in ("price_alpha", "value_noise", "output_fraction"):
+            if abs(getattr(self, name)) > MAX_RATE:
+                raise ValueError(f"{name} must be within [-{MAX_RATE:g}, {MAX_RATE:g}]")
 
 
 def bundle_value(bundle: ResourceBundle, sfm: SfmState) -> float:

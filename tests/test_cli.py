@@ -17,6 +17,11 @@ OUT_OF_RANGE = (
     "sim.crowding=nan",
     "sim.share_value_range=0.5, inf",
     "sim.checkpoint_cycles=0",
+    "sim.value_floor=1e305",
+    "sim.initial_price=1e308",
+    "sim.share_value_range=1e308, 1e308",
+    "sim.market_size_choices=" + "9" * 401,
+    "sim.price_alpha=-2e102",
 )
 
 

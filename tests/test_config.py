@@ -1,5 +1,5 @@
-"""INI config parsing, dumping, override handling, and the non-finite and
-checkpoint-cycle rules."""
+"""INI config parsing, dumping, override handling, and the non-finite,
+checkpoint-cycle and magnitude rules."""
 
 import dataclasses
 import math
@@ -16,7 +16,7 @@ from strategem.config import (
 )
 from strategem.engine import World
 from strategem.experiment import BatchConfig
-from strategem.model import SimConfig
+from strategem.model import MAX_RATE, MAX_SCALE, SimConfig
 
 
 class TestRoundTrip:
@@ -136,6 +136,29 @@ class TestCheckpointCycles:
     @pytest.mark.parametrize("cycles", [(), (1,), (20, 200)])
     def test_accepted(self, cycles):
         SimConfig(checkpoint_cycles=cycles).validate()
+
+
+class TestMagnitudeBounds:
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("value_floor", 1e305),
+            ("initial_price", 1e308),
+            ("share_value_range", (1e308, 1e308)),
+            ("share_value_range", (0.5, 2 * MAX_SCALE)),
+            ("market_size_choices", (10, 10**400)),
+            ("price_floor", 2 * MAX_SCALE),
+            ("initial_cash", 2 * MAX_SCALE),
+            ("initial_cash", 10**400),
+            ("price_alpha", -2e102),
+            ("price_alpha", 2 * MAX_RATE),
+            ("value_noise", -2 * MAX_RATE),
+            ("output_fraction", 2 * MAX_RATE),
+        ],
+    )
+    def test_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{name: value}).validate()
 
 
 class TestNonFinite:

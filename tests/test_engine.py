@@ -22,6 +22,8 @@ from strategem.engine import (
     write_trace_rows,
 )
 from strategem.model import (
+    MAX_RATE,
+    MAX_SCALE,
     Firm,
     Market,
     ResourceBundle,
@@ -372,7 +374,8 @@ class TestTracerHooks:
 
 
 class _RecordingRng:
-    """Forwards to a Generator and records the name of each method called."""
+    """Forwards to a Generator and records the name and positional
+    arguments of each method called."""
 
     def __init__(self, rng):
         self._rng = rng
@@ -382,7 +385,7 @@ class _RecordingRng:
         method = getattr(self._rng, name)
 
         def recorded(*args, **kwargs):
-            self.calls.append(name)
+            self.calls.append((name, args))
             return method(*args, **kwargs)
 
         return recorded
@@ -399,14 +402,32 @@ class TestCycleMechanics:
             values += [firm.instant_perf, firm.total_perf, *firm.resources.as_tuple()]
         assert {type(v) for v in values} == {float}
 
-    @pytest.mark.parametrize("noise_amplitude", [0.3, 0.0])
-    def test_one_random_call_per_cycle(self, noise_amplitude):
+    @pytest.mark.parametrize(
+        "overrides,deaths",
+        [
+            pytest.param({"noise_amplitude": 0.3}, False, id="0.3"),
+            pytest.param({"noise_amplitude": 0.0}, False, id="0.0"),
+            # noise_amplitude / cycle is above zero in cycle 1 only
+            pytest.param({"noise_amplitude": 5e-324}, False, id="5e-324"),
+            # firms die within the first cycles, and the dead draw nothing
+            pytest.param({"initial_cash": 0.0, "bankruptcy_grace": 1}, True, id="deaths"),
+        ],
+    )
+    def test_one_random_call_per_cycle(self, overrides, deaths):
         rng = _RecordingRng(np.random.Generator(np.random.PCG64(4)))
-        world = World(SimConfig(noise_amplitude=noise_amplitude), rng)
-        for _ in range(5):
+        world = World(SimConfig(**overrides), rng)
+        n_markets = len(world.markets)
+        for cycle in range(1, 6):
+            live = [f for f in world.firms if f.alive]
+            io_firms = sum(f.strategy is Strategy.IO for f in live)
+            waiting = sum(f.strategy is Strategy.RBV and f.market is None for f in live)
+            firm_draws = n_markets * io_firms + waiting
+            if not world.config.noise_amplitude / cycle > 0.0:
+                firm_draws = 0
             rng.calls.clear()
             world.step_cycle()
-            assert rng.calls == ["random"]
+            assert rng.calls == [("random", (firm_draws + n_markets + 3,))]
+        assert deaths == (not all(f.alive for f in world.firms))
 
     def test_every_live_io_firm_chooses_through_io_choose_market(self, monkeypatch):
         chosen = []
@@ -608,8 +629,8 @@ def _resource_totals(world):
     return tuple(totals)
 
 
-# Small configs that validate() accepts, with the unbounded knobs drawn
-# well past their defaults.
+# Small configs that validate() accepts, with the knobs drawn well past
+# their defaults, and the three rates over all that validate() accepts.
 small_configs = st.builds(
     SimConfig,
     n_firms=st.sampled_from([2, 4, 10, 20]),
@@ -620,13 +641,13 @@ small_configs = st.builds(
     noise_amplitude=st.floats(0.0, 0.99),
     maintenance_rate=st.floats(0.0, 0.5),
     crowding=st.floats(0.0, 2.0),
-    value_noise=st.floats(0.0, 2.0),
+    value_noise=st.floats(-MAX_RATE, MAX_RATE),
     value_floor=st.floats(1e-3, 1.0),
     initial_price=st.floats(1e-3, 10.0),
     price_floor=st.floats(1e-3, 1.0),
     initial_stock=st.floats(0.0, 1e4),
-    price_alpha=st.floats(-2.0, 5.0),
-    output_fraction=st.floats(-1.0, 2.0),
+    price_alpha=st.floats(-MAX_RATE, MAX_RATE),
+    output_fraction=st.floats(-MAX_RATE, MAX_RATE),
     bankruptcy_grace=st.integers(1, 10),
     literal_distance_sign=st.booleans(),
 )
@@ -665,3 +686,38 @@ class TestRandomConfigInvariants:
                 market = world.markets[market_id]
                 expected = market.shares * v_pre[market_id]
                 assert sum(revenues) == pytest.approx(expected, rel=1e-12)
+
+
+class TestValuesAtTheirBounds:
+    @pytest.mark.parametrize("price_alpha", [MAX_RATE, -MAX_RATE])
+    @pytest.mark.parametrize("value_noise", [MAX_RATE, -MAX_RATE])
+    @pytest.mark.parametrize("output_fraction", [MAX_RATE, -MAX_RATE])
+    @pytest.mark.parametrize("n_firms,n_markets", [(20, 5), (200, 20)])
+    def test_full_run_stays_far_from_overflow(
+        self, n_firms, n_markets, output_fraction, value_noise, price_alpha
+    ):
+        """Market sizes, share values, prices and cash at the largest that
+        validate() accepts, and the three rates at either end of theirs:
+        200 cycles keep every amount below 1e250."""
+        cfg = SimConfig(
+            n_firms=n_firms,
+            n_markets=n_markets,
+            market_size_choices=(10**100,),
+            share_value_range=(MAX_SCALE, MAX_SCALE),
+            value_floor=MAX_SCALE,
+            initial_price=MAX_SCALE,
+            price_floor=MAX_SCALE,
+            initial_cash=MAX_SCALE,
+            initial_stock=0.0,
+            price_alpha=price_alpha,
+            value_noise=value_noise,
+            output_fraction=output_fraction,
+        )
+        world = World(cfg, np.random.Generator(np.random.PCG64(0)))
+        for _ in range(cfg.n_cycles):
+            world.step_cycle()
+            amounts = [*world.sfm.prices, *(m.share_value for m in world.markets)]
+            for firm in world.firms:
+                amounts += [firm.cash, firm.revenue, firm.cost, firm.profit]
+                amounts += [firm.instant_perf, firm.total_perf]
+            assert max(map(abs, amounts)) < 1e250

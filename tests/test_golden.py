@@ -2,8 +2,8 @@
 short traced run whose initial bundles and barriers are drawn uniformly
 from the cube ranges instead of as Dirichlet mixes, of a short traced run
 without estimation noise (no IO or RBV draws in the cycle's block),
-of one whose noise amplitude is so small that each firm's estimation
-error underflows to zero after its first cycle, and of one whose RBV firms
+of one whose noise amplitude is so small that the cycle's estimation
+error underflows to zero from cycle 2, and of one whose RBV firms
 measure the shortfall in the literal pos(holding - barrier) orientation.
 
 A refactor that moves any output byte (one ulp in any formula, a changed
@@ -40,8 +40,8 @@ GOLDEN_NOISE_FREE_TRACE = (
 )
 
 # Trace of run 0 (seed derive_seed(0, 0)), 20 cycles, default config except
-# noise_amplitude = 5e-324, the smallest subnormal double: a firm's error
-# noise_amplitude / (1 + age) is zero from age 1, and such a firm draws no
+# noise_amplitude = 5e-324, the smallest subnormal double: the cycle's error
+# noise_amplitude / cycle is zero from cycle 2, and then no firm draws
 # noise.
 GOLDEN_SUBNORMAL_NOISE_TRACE = (
     "44607ea96f8c5eff73f7959b8f8d2a4fdb37fa47ba2b2dd3444e892c48829b0b"
