@@ -17,11 +17,11 @@ in the acting phase changes a firm's `alive` flag or the market of any firm
 but the one acting, so the layout is fixed at the top of the cycle, and the
 block holds the same doubles that separate draws in that order would give.
 
-IO firms choose with `strategy.io_choose_market` over `World.attractiveness`,
-a column of `market_attractiveness` values rebuilt at the top of each
-cycle and rewritten by `_attempt_entry` for the markets joined and left.
-Nothing else moves occupancy or share values before the payout, so the
-same column then pays each occupant its equal share,
+IO firms choose with `strategy.io_choose_market` over a column of
+`market_attractiveness` values, a local of `step_cycle` built at the top
+of each cycle and rewritten by its entry block for the markets joined and
+left. Nothing else moves occupancy or share values before the payout, so
+the same column then pays each occupant its equal share,
 `shares * share_value / occupants`.
 
 RBV firms choose with `strategy.rbv_choose_market`, passed the candidate
@@ -33,12 +33,15 @@ the sign is fixed per run, so a bundle key is enough. A firm whose bundle
 differs from its key, after any trade, is scanned afresh; the key is the
 bundle's values, so no trade path has to clear it.
 
-An entry buys the barrier deficit through `sfm_buy`. A zero deficit means
-the bundle already meets the barrier, its components being finite, so such
-a join buys nothing. `step_cycle` binds the functions it calls to locals
-once per call, never at import, so a function swapped on this module for a
-run (as a tracer that wraps functions by name does) is still the one called,
-and as often.
+Both strategies enter through one block at the end of the acting loop. It
+buys the barrier deficit through `sfm_buy` and books the purchase in the
+cycle's trade tallies, which like the column are locals of `step_cycle`,
+so it adds no attribute to `World`. A zero deficit means the bundle already
+meets the barrier, its components being finite, so such a join buys
+nothing. `step_cycle` binds the functions it calls to locals once per
+call, never at import, so a function swapped on this module for a run (as
+a tracer that wraps functions by name does) is still the one called, and
+as often.
 """
 
 from __future__ import annotations
@@ -269,39 +272,6 @@ class World:
 
     # -- per-cycle machinery -------------------------------------------------
 
-    def _attempt_entry(self, firm: Firm, market: Market, eps: float) -> bool:
-        """Buy the barrier deficit and join the market if it is then met.
-
-        `eps`, the cycle's estimation error, weights the firm's purchase
-        in the factor-price noise. Leaving the previous market happens only
-        on a successful join, so a failed attempt leaves the firm where it was.
-        """
-        dr, dg, db = barrier_deficit(firm, market)
-        if dr > 0 or dg > 0 or db > 0:
-            # A firm that cannot buy the whole deficit stays out this cycle
-            # and retries later; no partial siege purchases.
-            cost = sfm_buy(firm, ResourceBundle(dr, dg, db), self.sfm)
-            if cost is None:
-                return False
-            firm.cost += cost
-            self._demand_red += dr
-            self._demand_green += dg
-            self._demand_blue += db
-            units = dr + dg + db
-            self._demand_eps_weight += units * eps
-            self._demand_units += units
-            if not firm.resources.dominates(market.barrier):
-                return False
-        column = self.attractiveness
-        if firm.market is not None:
-            left = self.markets[firm.market]
-            left.occupants -= 1
-            column[left.id] = market_attractiveness(left)
-        firm.market = market.id
-        market.occupants += 1
-        column[market.id] = market_attractiveness(market)
-        return True
-
     def step_cycle(self) -> None:
         cfg = self.config
         rng = self.rng
@@ -313,13 +283,15 @@ class World:
         io = Strategy.IO
         enter, sell_resource, sell_output = Action.ENTER, Action.SELL_RESOURCE, Action.SELL_OUTPUT
         choose_io, choose_rbv, candidate_of = io_choose_market, rbv_choose_market, rbv_candidate
-        attempt_entry = self._attempt_entry
+        deficit_of, buy, sell = barrier_deficit, sfm_buy, sfm_sell
+        attractiveness_of = market_attractiveness
         asset_value, roa_of, survives = total_asset_value, instant_roa, survival_check
 
-        self._demand_red = self._demand_green = self._demand_blue = 0.0
-        self._supply_red = self._supply_green = self._supply_blue = 0.0
-        self._demand_eps_weight = 0.0
-        self._demand_units = 0.0
+        # The cycle's factor-market book: units bought and sold per type, and
+        # the units bought with their eps-weighted sum, for step (6).
+        demand_red = demand_green = demand_blue = 0.0
+        supply_red = supply_green = supply_blue = 0.0
+        demand_eps_weight = demand_units = 0.0
 
         # The cycle's estimation error: every firm was founded at cycle 0, so
         # all share one age, and older firms estimate better. The firm draws
@@ -344,7 +316,7 @@ class World:
         # decision sees the occupancy left by every earlier mover in the
         # same cycle, so a crowd disperses instead of piling onto one
         # opportunity.
-        column = self.attractiveness = np.array([market_attractiveness(m) for m in markets])
+        column = np.array([attractiveness_of(m) for m in markets])
         candidates = self.rbv_candidates
         literal_sign, output_fraction = cfg.literal_distance_sign, cfg.output_fraction
         for firm in firms:
@@ -356,42 +328,68 @@ class World:
                 noise = noises[pos:pos + n_markets] if k else None
                 pos += n_markets
                 choice = choose_io(firm, markets, noise, column)
-                if choice.market != firm.market:
-                    attempt_entry(firm, markets[choice.market], eps)
-                continue
-            if firm.market is not None:
+                if choice.market == firm.market:
+                    continue
+            elif firm.market is not None:
                 continue  # locked in
-            noise = noises.item(pos) if k else 1.0
-            pos += 1
-            bundle = firm.resources.as_tuple()
-            memo = candidates.get(firm.id)
-            if memo is None or memo[0] != bundle:
-                memo = candidates[firm.id] = (bundle, candidate_of(firm, markets, literal_sign))
-            choice = choose_rbv(
-                firm,
-                markets,
-                sfm,
-                output_fraction=output_fraction,
-                noise=noise,
-                candidate=memo[1],
-            )
-            action = choice.action
-            if action is enter:
-                attempt_entry(firm, markets[choice.market], eps)
-            elif action is sell_resource:
-                res = firm.resources
-                kind, _value = largest_holding(res, sfm)
-                offer = ResourceBundle(
-                    res.red if kind == 0 else 0.0,
-                    res.green if kind == 1 else 0.0,
-                    res.blue if kind == 2 else 0.0,
+            else:
+                noise = noises.item(pos) if k else 1.0
+                pos += 1
+                bundle = firm.resources.as_tuple()
+                memo = candidates.get(firm.id)
+                if memo is None or memo[0] != bundle:
+                    memo = candidates[firm.id] = (bundle, candidate_of(firm, markets, literal_sign))
+                choice = choose_rbv(
+                    firm,
+                    markets,
+                    sfm,
+                    output_fraction=output_fraction,
+                    noise=noise,
+                    candidate=memo[1],
                 )
-                sfm_sell(firm, offer, sfm)
-                self._supply_red += offer.red
-                self._supply_green += offer.green
-                self._supply_blue += offer.blue
-            elif action is sell_output:
-                firm.revenue = choice.score
+                action = choice.action
+                if action is not enter:
+                    if action is sell_resource:
+                        res = firm.resources
+                        kind, _value = largest_holding(res, sfm)
+                        offer = ResourceBundle(
+                            res.red if kind == 0 else 0.0,
+                            res.green if kind == 1 else 0.0,
+                            res.blue if kind == 2 else 0.0,
+                        )
+                        sell(firm, offer, sfm)
+                        supply_red += offer.red
+                        supply_green += offer.green
+                        supply_blue += offer.blue
+                    elif action is sell_output:
+                        firm.revenue = choice.score
+                    continue
+            # Entry, for both strategies: buy the barrier deficit and join the
+            # market if it is then met. A firm that cannot buy the whole
+            # deficit stays out this cycle and retries later; no partial siege
+            # purchases. The firm leaves its previous market only on a join.
+            market = markets[choice.market]
+            dr, dg, db = deficit_of(firm, market)
+            if dr > 0 or dg > 0 or db > 0:
+                cost = buy(firm, ResourceBundle(dr, dg, db), sfm)
+                if cost is None:
+                    continue
+                firm.cost += cost
+                demand_red += dr
+                demand_green += dg
+                demand_blue += db
+                units = dr + dg + db
+                demand_eps_weight += units * eps
+                demand_units += units
+                if not firm.resources.dominates(market.barrier):
+                    continue
+            if firm.market is not None:
+                left = markets[firm.market]
+                left.occupants -= 1
+                column[left.id] = attractiveness_of(left)
+            firm.market = market.id
+            market.occupants += 1
+            column[market.id] = attractiveness_of(market)
 
         # (4)-(5) markets pay each occupant its equal share, costs are
         # charged, profits booked
@@ -416,15 +414,14 @@ class World:
             market.share_value = update_share_value(
                 market, cfg.crowding, noise, cfg.value_floor
             )
-        if self._demand_units > 0.0:
-            eps_p = self._demand_eps_weight / self._demand_units
-        else:
-            eps_p = 0.0
+        # A units-weighted mean of `eps`, not `eps` itself: the two differ in
+        # the last bits, and the golden outputs pin these.
+        eps_p = demand_eps_weight / demand_units if demand_units > 0.0 else 0.0
         price_noise = tuple(1.0 + eps_p * (2.0 * u - 1.0) for u in tail_draws[n_markets:])
         update_sfm_prices(
             sfm,
-            (self._demand_red, self._demand_green, self._demand_blue),
-            (self._supply_red, self._supply_green, self._supply_blue),
+            (demand_red, demand_green, demand_blue),
+            (supply_red, supply_green, supply_blue),
             cfg.price_alpha,
             price_noise,
             cfg.price_floor,

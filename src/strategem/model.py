@@ -174,11 +174,11 @@ class SfmState:
         return f"SfmState(prices={self.prices}, stock={self.stock!r})"
 
 
-# The largest market size, share value, factor price or initial cash, and
-# the largest |price_alpha|, |value_noise| or |output_fraction|, that
-# `SimConfig.validate()` accepts. Past them money and prices can overflow
-# to inf, and ROA to NaN, within a run; with every one of them at its bound
-# a 200-cycle run peaks near 1e214 (tests/test_engine.py).
+# The largest market size, share value, factor price, initial cash, bundle
+# or barrier range end, and the largest |price_alpha|, |value_noise| or
+# |output_fraction|, that `SimConfig.validate()` accepts. Past them money
+# and prices can overflow to inf, and ROA to NaN, within a run; with every
+# one of them at its bound a 200-cycle run peaks near 1e216 (tests/test_engine.py).
 MAX_SCALE = 1e100
 MAX_RATE = 1e6
 
@@ -291,9 +291,10 @@ class SimConfig:
         if self.initial_stock < 0:
             raise ValueError("initial_stock must be >= 0")
         for name in ("market_size_choices", "share_value_range", "value_floor",
-                     "initial_price", "price_floor", "initial_cash"):
+                     "initial_price", "price_floor", "initial_cash", "resource_init_range",
+                     "barrier_range", "resource_sum_range", "barrier_sum_range"):
             value = getattr(self, name)
-            if max(value if isinstance(value, tuple) else (value,)) > MAX_SCALE:
+            if value is not None and max(value if isinstance(value, tuple) else (value,)) > MAX_SCALE:
                 raise ValueError(f"{name} must be <= {MAX_SCALE:g}")
         for name in ("price_alpha", "value_noise", "output_fraction"):
             if abs(getattr(self, name)) > MAX_RATE:

@@ -132,16 +132,6 @@ def resource_shortfall(
     return math.sqrt(dr * dr + dg * dg + db * db)
 
 
-def shortfall_bundle(firm: Firm, market: Market) -> ResourceBundle:
-    """The barrier deficit as a bundle the firm could buy."""
-    return ResourceBundle(*barrier_deficit(firm, market))
-
-
-def shortfall_cost(firm: Firm, market: Market, sfm: SfmState) -> float:
-    """Purchase cost, at current prices, of closing the barrier deficit."""
-    return bundle_value(shortfall_bundle(firm, market), sfm)
-
-
 def largest_holding(resources: ResourceBundle, sfm: SfmState) -> tuple[int, float]:
     """The resource type worth most at current prices, as (kind, value).
 
@@ -213,7 +203,7 @@ def rbv_choose_market(
     expected_profit = market.shares * market.share_value / (market.occupants + 1)
     expected_profit *= noise
 
-    cost = shortfall_cost(firm, market, sfm)
+    cost = bundle_value(ResourceBundle(*barrier_deficit(firm, market)), sfm)
     enter_value = expected_profit - cost if cost <= firm.cash else -math.inf
 
     _kind, sell_resource_value = largest_holding(firm.resources, sfm)

@@ -22,6 +22,7 @@ OUT_OF_RANGE = (
     "sim.share_value_range=1e308, 1e308",
     "sim.market_size_choices=" + "9" * 401,
     "sim.price_alpha=-2e102",
+    "sim.barrier_range=1e200, 1e200",
 )
 
 

@@ -154,6 +154,10 @@ class TestMagnitudeBounds:
             ("price_alpha", 2 * MAX_RATE),
             ("value_noise", -2 * MAX_RATE),
             ("output_fraction", 2 * MAX_RATE),
+            ("barrier_range", (1e200, 1e200)),
+            ("resource_init_range", (0.0, 2 * MAX_SCALE)),
+            ("barrier_sum_range", (220.0, 2 * MAX_SCALE)),
+            ("resource_sum_range", (60.0, 2 * MAX_SCALE)),
         ],
     )
     def test_rejected(self, name, value):

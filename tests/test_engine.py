@@ -269,18 +269,32 @@ class TestStepCycle:
         assert traces[0] == traces[1]
 
     def test_entry_refused_without_full_shortfall_budget(self):
+        # The 300-unit barrier costs 300 at price 1, and each firm has 1 cash:
+        # the IO firm's entry is refused and the RBV firm sells output.
         world = _controlled_world(
             barrier_sum_range=(300.0, 300.0), initial_cash=1.0, initial_price=1.0
         )
-        firm = world.firms[0]
+        (firm,) = [f for f in world.firms if f.strategy is Strategy.IO]
         market = world.markets[0]
         cash_before = firm.cash
         bundle_before = firm.resources.as_tuple()
-        assert not world._attempt_entry(firm, market, eps=0.0)
+        stock_before = world.sfm.stock.as_tuple()
+        prices_before = world.sfm.prices
+        world.step_cycle()
         assert firm.market is None
         assert firm.cash == cash_before
         assert firm.resources.as_tuple() == bundle_before
         assert market.occupants == 0
+        assert world.sfm.stock.as_tuple() == stock_before
+        # A refused buy books no demand, so no price moves.
+        assert world.sfm.prices == prices_before
+
+    def test_step_cycle_adds_no_world_attributes(self):
+        world = make_world(seed=3)
+        attributes = set(vars(world))
+        for _ in range(5):
+            world.step_cycle()
+        assert set(vars(world)) == attributes
 
     def _recording_buys(self, monkeypatch):
         buys = []
@@ -688,17 +702,32 @@ class TestRandomConfigInvariants:
                 assert sum(revenues) == pytest.approx(expected, rel=1e-12)
 
 
+# Bundles and barriers at the largest validate() accepts, drawn either way.
+_RANGES_AT_BOUND = {
+    "sum": dict(
+        resource_sum_range=(MAX_SCALE, MAX_SCALE), barrier_sum_range=(MAX_SCALE, MAX_SCALE)
+    ),
+    "cube": dict(
+        resource_sum_range=None,
+        barrier_sum_range=None,
+        resource_init_range=(MAX_SCALE, MAX_SCALE),
+        barrier_range=(MAX_SCALE, MAX_SCALE),
+    ),
+}
+
+
 class TestValuesAtTheirBounds:
+    @pytest.mark.parametrize("ranges", sorted(_RANGES_AT_BOUND))
     @pytest.mark.parametrize("price_alpha", [MAX_RATE, -MAX_RATE])
     @pytest.mark.parametrize("value_noise", [MAX_RATE, -MAX_RATE])
     @pytest.mark.parametrize("output_fraction", [MAX_RATE, -MAX_RATE])
     @pytest.mark.parametrize("n_firms,n_markets", [(20, 5), (200, 20)])
     def test_full_run_stays_far_from_overflow(
-        self, n_firms, n_markets, output_fraction, value_noise, price_alpha
+        self, n_firms, n_markets, output_fraction, value_noise, price_alpha, ranges
     ):
-        """Market sizes, share values, prices and cash at the largest that
-        validate() accepts, and the three rates at either end of theirs:
-        200 cycles keep every amount below 1e250."""
+        """Market sizes, share values, prices, cash, bundles and barriers at
+        the largest that validate() accepts, and the three rates at either
+        end of theirs: 200 cycles keep every amount below 1e250."""
         cfg = SimConfig(
             n_firms=n_firms,
             n_markets=n_markets,
@@ -712,6 +741,7 @@ class TestValuesAtTheirBounds:
             price_alpha=price_alpha,
             value_noise=value_noise,
             output_fraction=output_fraction,
+            **_RANGES_AT_BOUND[ranges],
         )
         world = World(cfg, np.random.Generator(np.random.PCG64(0)))
         for _ in range(cfg.n_cycles):

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from strategem.model import Firm, Market, ResourceBundle, SfmState, Strategy
 from strategem.strategy import (
     Action,
+    barrier_deficit,
     io_choose_market,
     market_attractiveness,
     rbv_candidate,
     rbv_choose_market,
     resource_shortfall,
-    shortfall_bundle,
-    shortfall_cost,
 )
 
 
@@ -166,12 +165,15 @@ class TestResourceShortfall:
         # surplus components: (5-3, 0, 0) -> 2
         assert resource_shortfall(firm, market, literal_sign=True) == pytest.approx(2.0)
 
-    def test_shortfall_bundle_and_cost(self):
-        firm = make_firm(resources=(5, 2, 0))
-        market = make_market(0, 10, 1.0, barrier=(3, 4, 2))
-        deficit = shortfall_bundle(firm, market)
-        assert deficit.as_tuple() == (0.0, 2.0, 2.0)
-        assert shortfall_cost(firm, market, make_sfm(1, 3, 5)) == pytest.approx(16.0)
+    def test_deficit_and_its_cost_in_the_entry_score(self):
+        # The deficit (0, 2, 2) costs 2 * 3 + 2 * 5 = 16, which the ENTER
+        # score nets out of the expected profit 100 * 1.0 / 1.
+        firm = make_firm(Strategy.RBV, resources=(5, 2, 0))
+        market = make_market(0, 100, 1.0, barrier=(3, 4, 2))
+        assert barrier_deficit(firm, market) == (0.0, 2.0, 2.0)
+        choice = rbv_choose_market(firm, [market], make_sfm(1, 3, 5))
+        assert choice.action is Action.ENTER
+        assert choice.score == pytest.approx(100.0 - 16.0)
 
 
 class TestRbvChooser:
