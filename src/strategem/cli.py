@@ -24,22 +24,35 @@ from .experiment import (
 )
 
 
+# Shortcut flags, each an alias of `--set KEY=N` applied before the --set pairs.
+SHORTCUTS = {
+    "seed": "batch.base_seed",
+    "runs": "batch.n_runs",
+    "cycles": "sim.n_cycles",
+    "firms": "sim.n_firms",
+    "markets": "sim.n_markets",
+    "workers": "batch.parallelism",
+}
+
+# Config-reading subcommands: help text and the shortcut flags each takes.
+COMMANDS = {
+    "run": ("execute one simulation with trace output", ("seed", "cycles", "firms", "markets")),
+    "batch": ("execute a batch of runs and aggregate", tuple(SHORTCUTS)),
+    "validate": ("check a config file and print the effective configuration", tuple(SHORTCUTS)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strategem",
         description="Agent-based simulator of IO vs. RBV market-entry strategies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (help_text, shortcuts) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="INI config file")
-        p.add_argument("--out", metavar="DIR", default="out", help="output directory")
-        p.add_argument("--seed", type=int, help="override the base seed")
-        p.add_argument("--runs", type=int, help="override the number of runs")
-        p.add_argument("--cycles", type=int, help="override cycles per run")
-        p.add_argument("--firms", type=int, help="override the firm count")
-        p.add_argument("--markets", type=int, help="override the market count")
-        p.add_argument("--workers", type=int, help="worker process count")
+        for flag in shortcuts:
+            p.add_argument(f"--{flag}", metavar="N", help=f"same as --set {SHORTCUTS[flag]}=N")
         p.add_argument(
             "--set",
             dest="overrides",
@@ -48,45 +61,22 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override any config key (sim.NAME or batch.NAME; repeatable)",
         )
-        p.add_argument("--trace", action="store_true", help="write per-cycle trace CSVs")
-
-    for name, help_text in (
-        ("run", "execute one simulation with trace output"),
-        ("batch", "execute a batch of runs and aggregate"),
-        ("aggregate", "recompute aggregate.csv from runs.csv"),
-        ("validate", "check a config file and print the effective configuration"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        if name == "aggregate":
-            p.add_argument("runs_csv", help="path to an existing runs.csv")
-            p.add_argument("--out", metavar="DIR", default="out")
-        else:
-            add_common(p)
+        if name != "validate":
+            p.add_argument("--out", metavar="DIR", default="out", help="output directory")
+        if name == "batch":
+            p.add_argument("--trace", action="store_true", help="write per-cycle trace CSVs")
+    p = sub.add_parser("aggregate", help="recompute aggregate.csv from runs.csv")
+    p.add_argument("runs_csv", help="path to an existing runs.csv")
+    p.add_argument("--out", metavar="DIR", default="out")
     return parser
 
 
 def _effective_config(args):
     batch = load_config(args.config)
-    if args.seed is not None:
-        batch.base_seed = args.seed
-    if args.runs is not None:
-        batch.n_runs = args.runs
-    if args.cycles is not None:
-        batch.sim.n_cycles = args.cycles
-    if args.firms is not None:
-        batch.sim.n_firms = args.firms
-    if args.markets is not None:
-        batch.sim.n_markets = args.markets
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("STRATEGEM_WORKERS")
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"bad STRATEGEM_WORKERS value: {env!r}") from exc
-    if workers is not None:
-        batch.parallelism = workers
+    for flag, key in SHORTCUTS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            apply_override(batch, key, value)
     for pair in args.overrides:
         if "=" not in pair:
             raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
@@ -138,8 +128,8 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 0
 
+        _echo_config(batch, args.out)
         if args.command == "run":
-            _echo_config(batch, args.out)
             seed = batch.base_seed if args.seed is not None else derive_seed(batch.base_seed, 0)
             trace_path = os.path.join(args.out, "trace.csv")
             with open(trace_path, "w") as fh:
@@ -148,19 +138,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {trace_path} (seed {seed})")
             return 0
 
-        if args.command == "batch":
-            _echo_config(batch, args.out)
-            summaries, _ = run_batch(batch, out_dir=args.out, trace=args.trace)
-            print(
-                f"wrote {os.path.join(args.out, 'runs.csv')} and aggregate.csv "
-                f"({len(summaries)} runs)"
-            )
-            return 0
+        summaries, _ = run_batch(batch, out_dir=args.out, trace=args.trace)
+        print(
+            f"wrote {os.path.join(args.out, 'runs.csv')} and aggregate.csv "
+            f"({len(summaries)} runs)"
+        )
+        return 0
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-
-    return 2
 
 
 if __name__ == "__main__":

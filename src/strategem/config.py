@@ -1,15 +1,17 @@
 """Flat INI config files for simulation and batch settings.
 
 Two sections, [sim] and [batch], whose keys mirror the SimConfig and
-BatchConfig field names. Missing keys keep their defaults; dumping and
-re-parsing an effective config is lossless.
+BatchConfig field names. Missing keys keep their defaults. Every value is
+parsed by its field's declared type, so `none` is accepted only where the
+type admits None and a tuple must have its declared length. A config built
+from INI text and overrides therefore dumps to text that loads back to a
+config with the same dump.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
-import io
+import typing
 
 from .experiment import BatchConfig
 from .model import SimConfig
@@ -19,31 +21,49 @@ class ConfigError(ValueError):
     """Malformed config file or override."""
 
 
-def _parse_value(raw: str, default):
-    raw = raw.strip()
-    if raw.lower() == "none":
-        return None
-    if default is None:
-        # Optional tuple field currently unset: parse as a float tuple.
-        default = (0.0,)
+# Section -> its keys' declared types, in field order. `BatchConfig.sim` is
+# the [sim] section, not a key of [batch].
+SECTIONS = {
+    "sim": typing.get_type_hints(SimConfig),
+    "batch": {
+        name: kind
+        for name, kind in typing.get_type_hints(BatchConfig).items()
+        if kind is not SimConfig
+    },
+}
+
+
+def _parse_scalar(raw: str, kind):
+    if kind is bool:
+        if raw.lower() in ("true", "1", "yes", "on"):
+            return True
+        if raw.lower() in ("false", "0", "no", "off"):
+            return False
+        raise ConfigError(f"bad value {raw!r}: not a boolean")
     try:
-        if isinstance(default, bool):
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if isinstance(default, tuple):
-            elem_type = type(default[0]) if default else float
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            return tuple(elem_type(p) for p in parts)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value {raw!r}: {exc}") from exc
-    raise ConfigError(f"unsupported config value type for {raw!r}")
+
+
+def _parse_value(raw: str, kind):
+    """Parse `raw` as the declared type `kind`: a scalar, a tuple, or
+    either of those or None."""
+    raw = raw.strip()
+    args = typing.get_args(kind)
+    if type(None) in args:
+        if raw.lower() == "none":
+            return None
+        (kind,) = (a for a in args if a is not type(None))
+        args = typing.get_args(kind)
+    if typing.get_origin(kind) is not tuple:
+        return _parse_scalar(raw, kind)
+    parts = raw.replace(",", " ").split()
+    if args[-1] is Ellipsis:
+        args = (args[0],) * len(parts)
+    elif len(parts) != len(args):
+        raise ConfigError(f"bad value {raw!r}: expected {len(args)} values, got {len(parts)}")
+    return tuple(_parse_scalar(p, t) for p, t in zip(parts, args))
 
 
 def _format_value(value) -> str:
@@ -58,12 +78,17 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _apply_section(obj, section: str, items) -> None:
-    known = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+def _section_object(batch: BatchConfig, section: str):
+    return batch.sim if section == "sim" else batch
+
+
+def _apply_section(batch: BatchConfig, section: str, items) -> None:
+    types = SECTIONS[section]
+    obj = _section_object(batch, section)
     for key, raw in items:
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"unknown key [{section}] {key}")
-        setattr(obj, key, _parse_value(raw, known[key]))
+        setattr(obj, key, _parse_value(raw, types[key]))
 
 
 def load_config(path: str | None = None) -> BatchConfig:
@@ -80,15 +105,9 @@ def load_config(path: str | None = None) -> BatchConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
     for section in parser.sections():
-        if section == "sim":
-            _apply_section(batch.sim, section, parser.items(section))
-        elif section == "batch":
-            _apply_section(
-                batch, section,
-                [(k, v) for k, v in parser.items(section) if k != "sim"],
-            )
-        else:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
+        _apply_section(batch, section, parser.items(section))
     return batch
 
 
@@ -97,25 +116,17 @@ def apply_override(batch: BatchConfig, key: str, raw: str) -> None:
     if "." not in key:
         raise ConfigError(f"override key must be sim.NAME or batch.NAME: {key!r}")
     section, name = key.split(".", 1)
-    if section == "sim":
-        _apply_section(batch.sim, section, [(name, raw)])
-    elif section == "batch":
-        if name == "sim":
-            raise ConfigError("cannot override batch.sim directly")
-        _apply_section(batch, section, [(name, raw)])
-    else:
+    if section not in SECTIONS:
         raise ConfigError(f"unknown config section {section!r}")
+    _apply_section(batch, section, [(name, raw)])
 
 
 def dump_config(batch: BatchConfig) -> str:
-    """Serialize the effective configuration; re-parsing reproduces it."""
-    out = io.StringIO()
-    out.write("[sim]\n")
-    for f in dataclasses.fields(batch.sim):
-        out.write(f"{f.name} = {_format_value(getattr(batch.sim, f.name))}\n")
-    out.write("\n[batch]\n")
-    for f in dataclasses.fields(batch):
-        if f.name == "sim":
-            continue
-        out.write(f"{f.name} = {_format_value(getattr(batch, f.name))}\n")
-    return out.getvalue()
+    """Serialize the effective configuration; loading it gives the same dump."""
+    blocks = []
+    for section, types in SECTIONS.items():
+        obj = _section_object(batch, section)
+        lines = [f"[{section}]"]
+        lines += [f"{name} = {_format_value(getattr(obj, name))}" for name in types]
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)

@@ -17,33 +17,8 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .engine import World, format_field, write_trace_header, write_trace_rows
-from .metrics import RbvProfile, classify_rbv, relative_diff, top_k_snapshot
+from .metrics import RbvProfile, StrategySnapshot, classify_rbv, relative_diff, top_k_snapshot
 from .model import SimConfig, Strategy
-
-# Per-checkpoint columns of a run summary, in CSV order.
-CHECKPOINT_FIELDS = (
-    "io_in_top10",
-    "rbv_in_top10",
-    "best_io",
-    "best_rbv",
-    "best_is_rbv",
-    "avg5_io",
-    "avg5_rbv",
-    "avg10_io",
-    "avg10_rbv",
-    "avg_all_io",
-    "avg_all_rbv",
-    "rd_best",
-    "rd_avg5",
-    "rd_avg10",
-    "rd_all",
-    "n_wallflower",
-    "n_convenience",
-    "n_soul_mate",
-    "perf_wallflower",
-    "perf_convenience",
-    "perf_soul_mate",
-)
 
 # Relative-difference columns -> the (IO, RBV) columns they compare. Their
 # signs feed the "Nb of cases where IO > RBV" tallies.
@@ -53,6 +28,21 @@ RELATIVE_DIFF_FIELDS = {
     "rd_avg10": ("avg10_io", "avg10_rbv"),
     "rd_all": ("avg_all_io", "avg_all_rbv"),
 }
+
+# RBV profile -> the suffix of its n_* (count) and perf_* (mean total_perf) columns.
+PROFILE_KEYS = {
+    RbvProfile.WALLFLOWER: "wallflower",
+    RbvProfile.CONVENIENCE_MARRIAGE: "convenience",
+    RbvProfile.SOUL_MATE: "soul_mate",
+}
+
+# Per-checkpoint columns of a run summary, in CSV order.
+CHECKPOINT_FIELDS = (
+    tuple(f.name for f in fields(StrategySnapshot) if f.name != "cycle")
+    + tuple(RELATIVE_DIFF_FIELDS)
+    + tuple(f"n_{key}" for key in PROFILE_KEYS.values())
+    + tuple(f"perf_{key}" for key in PROFILE_KEYS.values())
+)
 
 
 def _spread(reduce):
@@ -145,11 +135,7 @@ def _checkpoint_stats(world: World, cycle: int) -> dict[str, float]:
         profile = classify_rbv(firm, io_by_market.get(firm.market, ()))
         counts[profile] += 1
         perf_sums[profile] += firm.total_perf
-    for profile, key in (
-        (RbvProfile.WALLFLOWER, "wallflower"),
-        (RbvProfile.CONVENIENCE_MARRIAGE, "convenience"),
-        (RbvProfile.SOUL_MATE, "soul_mate"),
-    ):
+    for profile, key in PROFILE_KEYS.items():
         n = counts[profile]
         stats[f"n_{key}"] = n
         stats[f"perf_{key}"] = perf_sums[profile] / n if n else math.nan
@@ -265,13 +251,24 @@ def read_runs_csv(path: str) -> list[RunSummary]:
     """Parse a runs.csv back into summaries.
 
     Raises ValueError, naming the line, when the header lacks `run_id` or
-    `seed` or a row's field count differs from the header's.
+    `seed` or has a `c<cycle>_<field>` column whose cycle is not an integer,
+    or when a row's field count differs from the header's or a field is not
+    a number. Columns that name no checkpoint field are ignored.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         for required in ("run_id", "seed"):
             if required not in header:
                 raise ValueError(f"line 1: no {required!r} column")
+        id_col, seed_col = header.index("run_id"), header.index("seed")
+        columns = []  # (position, cycle, field) of each checkpoint column
+        for i, col in enumerate(header):
+            cycle, _, name = col[1:].partition("_")
+            if col.startswith("c") and name in CHECKPOINT_FIELDS:
+                try:
+                    columns.append((i, int(cycle), name))
+                except ValueError:
+                    raise ValueError(f"line 1: bad cycle in column {col!r}") from None
         summaries = []
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
@@ -279,18 +276,13 @@ def read_runs_csv(path: str) -> list[RunSummary]:
                 raise ValueError(
                     f"line {lineno}: {len(parts)} fields, header has {len(header)}"
                 )
-            record = dict(zip(header, parts))
-            summary = RunSummary(
-                run_id=int(record["run_id"]), seed=int(record["seed"])
-            )
-            for col, raw in record.items():
-                if not col.startswith("c") or "_" not in col:
-                    continue
-                cycle, name = col[1:].split("_", 1)
-                if name not in CHECKPOINT_FIELDS:
-                    continue
-                stats = summary.checkpoints.setdefault(int(cycle), {})
-                stats[name] = float(raw) if raw != "" else math.nan
+            try:
+                summary = RunSummary(run_id=int(parts[id_col]), seed=int(parts[seed_col]))
+                for i, cycle, name in columns:
+                    stats = summary.checkpoints.setdefault(cycle, {})
+                    stats[name] = float(parts[i]) if parts[i] != "" else math.nan
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             summaries.append(summary)
     return summaries
 

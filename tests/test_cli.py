@@ -6,8 +6,10 @@ import os
 import pytest
 
 from strategem.cli import main
+from strategem.config import dump_config, load_config
 
-# Values validate() rejects; each must fail before any run, with exit 1.
+# Values the typed parse or validate() rejects; each must fail before any
+# run, with exit 1.
 OUT_OF_RANGE = (
     "sim.crowding=-0.2",
     "sim.initial_price=0",
@@ -23,6 +25,10 @@ OUT_OF_RANGE = (
     "sim.market_size_choices=" + "9" * 401,
     "sim.price_alpha=-2e102",
     "sim.barrier_range=1e200, 1e200",
+    "sim.n_firms=none",
+    "sim.literal_distance_sign=none",
+    "sim.share_value_range=1",
+    "sim.resource_init_range=1,2,3",
 )
 
 
@@ -51,9 +57,29 @@ class TestValidate:
     @pytest.mark.parametrize("override", OUT_OF_RANGE)
     def test_out_of_range_value_exits_1(self, tmp_path, capsys, command, override):
         out = str(tmp_path / "out")
-        assert main([command, "--set", override, "--out", out]) == 1
-        assert "config error" in capsys.readouterr().err
+        out_flag = ["--out", out] if command == "run" else []
+        assert main([command, "--set", override, *out_flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert len(err.strip().splitlines()) == 1  # a message, not a traceback
         assert not os.path.exists(out)
+
+    def test_echoed_config_loads_back(self, tmp_path):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[sim]\ncheckpoint_cycles =\nn_firms = 20\nn_markets = 5\nn_cycles = 5\n")
+        out = str(tmp_path / "out")
+        code = main(
+            ["run", "--config", str(ini), "--set", "sim.checkpoint_cycles=5", "--out", out]
+        )
+        assert code == 0
+        echo = os.path.join(out, "effective_config.ini")
+        loaded = load_config(echo)
+        assert loaded.sim.checkpoint_cycles == (5,)
+        assert dump_config(loaded) == open(echo).read()
+
+    def test_shortcuts_apply_before_set(self, capsys):
+        assert main(["validate", "--seed", "3", "--set", "batch.base_seed=4"]) == 0
+        assert "base_seed = 4\n" in capsys.readouterr().out
 
 
 class TestRun:
@@ -125,15 +151,32 @@ class TestBatchAndAggregate:
         assert len(err.strip().splitlines()) == 1
         assert not os.path.exists(out)
 
-    def test_workers_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("STRATEGEM_WORKERS", "2")
+    @pytest.mark.parametrize(
+        "header,row,line",
+        [
+            ("run_id,seed,cx_best_io", "0,7,0.5", "line 1"),  # no integer cycle
+            ("run_id,seed,c5_best_io", "0,7,abc", "line 2"),  # not a number
+        ],
+    )
+    def test_aggregate_malformed_field_exits_1(self, tmp_path, capsys, header, row, line):
+        path = tmp_path / "runs.csv"
+        path.write_text(f"{header}\n{row}\n")
+        out = str(tmp_path / "agg")
+        assert main(["aggregate", str(path), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert line in err
+        assert len(err.strip().splitlines()) == 1
+        assert not os.path.exists(out)
+
+    def test_batch_with_two_workers(self, tmp_path):
         out = str(tmp_path / "out")
         code = main(
-            ["batch", "--runs", "2", "--cycles", "3", "--out", out,
+            ["batch", "--workers", "2", "--runs", "2", "--cycles", "3", "--out", out,
              "--set", "sim.n_firms=20", "--set", "sim.n_markets=5",
              "--set", "sim.checkpoint_cycles=3"]
         )
         assert code == 0
+        assert "parallelism = 2\n" in open(os.path.join(out, "effective_config.ini")).read()
 
     def test_bad_override_exits_1(self, tmp_path, capsys):
         # a tiny batch, so a wrongly accepted override cannot start a big one
@@ -146,6 +189,16 @@ class TestBatchAndAggregate:
 class TestUsage:
     def test_unknown_flag_exits_1(self):
         assert main(["run", "--bogus"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--trace"], ["run", "--runs", "3"], ["run", "--workers", "2"],
+         ["validate", "--out", "d"], ["validate", "--trace"]],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_1(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # an accepted flag would write ./out or ./d
+        assert main(argv) == 1
+        assert not os.listdir(tmp_path)
 
     def test_missing_subcommand_exits_1(self):
         assert main([]) == 1

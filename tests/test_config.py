@@ -74,6 +74,7 @@ class TestParsing:
             "[sim]\nn_cycles = few\n",
             "[sim]\nliteral_distance_sign = maybe\n",
             "[weird]\nx = 1\n",
+            "[batch]\nsim = 3\n",
         ],
     )
     def test_malformed_rejected(self, tmp_path, body):
@@ -104,6 +105,10 @@ class TestOverrides:
             ("sim.bogus", "1"),
             ("batch.sim", "x"),
             ("other.n_runs", "1"),
+            ("sim.n_firms", "none"),  # none only where the type admits None
+            ("sim.literal_distance_sign", "none"),
+            ("sim.share_value_range", "1"),  # tuple lengths are checked
+            ("sim.resource_init_range", "1,2,3"),
         ],
     )
     def test_bad_overrides_rejected(self, key, value):
