@@ -33,7 +33,7 @@ def main():
     for cycle in range(1, config.n_cycles + 1):
         world.step_cycle()
         if cycle in config.checkpoint_cycles:
-            snap = top_k_snapshot(world.firms, 10, cycle)
+            snap = top_k_snapshot(world.firms)
             print(f"\n=== cycle {cycle}: {snap.io_in_top10} IO / "
                   f"{snap.rbv_in_top10} RBV in the top 10 ===")
             leaderboard(world)

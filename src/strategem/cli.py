@@ -130,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
 
         _echo_config(batch, args.out)
         if args.command == "run":
-            seed = batch.base_seed if args.seed is not None else derive_seed(batch.base_seed, 0)
+            seed = derive_seed(batch.base_seed, 0)
             trace_path = os.path.join(args.out, "trace.csv")
             with open(trace_path, "w") as fh:
                 summary = run_one(seed, batch.sim, run_id=0, trace_out=fh)

@@ -88,7 +88,11 @@ def _apply_section(batch: BatchConfig, section: str, items) -> None:
     for key, raw in items:
         if key not in types:
             raise ConfigError(f"unknown key [{section}] {key}")
-        setattr(obj, key, _parse_value(raw, types[key]))
+        try:
+            value = _parse_value(raw, types[key])
+        except ConfigError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
+        setattr(obj, key, value)
 
 
 def load_config(path: str | None = None) -> BatchConfig:

@@ -20,18 +20,19 @@ block holds the same doubles that separate draws in that order would give.
 IO firms choose with `strategy.io_choose_market` over a column of
 `market_attractiveness` values, a local of `step_cycle` built at the top
 of each cycle and rewritten by its entry block for the markets joined and
-left. Nothing else moves occupancy or share values before the payout, so
-the same column then pays each occupant its equal share,
-`shares * share_value / occupants`.
+left. `_init_markets` gives each market its list position as its id, so
+the column's positions are the market ids. Nothing else moves occupancy or
+share values before the payout, so the same column then pays each occupant
+its equal share, `shares * share_value / occupants`.
 
 RBV firms choose with `strategy.rbv_choose_market`, passed the candidate
-that `World.rbv_candidates` remembers for the firm: the bundle it was found
-for and the `(market, dist)` pair `strategy.rbv_candidate` returned. The
-candidate depends only on the bundle, the barriers and
-`literal_distance_sign`; barriers are drawn once in `_init_markets` and
-the sign is fixed per run, so a bundle key is enough. A firm whose bundle
-differs from its key, after any trade, is scanned afresh; the key is the
-bundle's values, so no trade path has to clear it.
+market that `World.rbv_candidates` remembers for the firm with the bundle
+`strategy.rbv_candidate` found it for. The candidate depends only on the
+bundle, the barriers and `literal_distance_sign`; barriers are drawn once
+in `_init_markets` and the sign is fixed per run, so a bundle key is
+enough. A firm whose bundle differs from its key, after any trade, is
+scanned afresh; the key is the bundle's values, so no trade path has to
+clear it.
 
 Both strategies enter through one block at the end of the acting loop. It
 buys the barrier deficit through `sfm_buy` and books the purchase in the
@@ -227,8 +228,8 @@ class World:
         self.cycle = 0
         self.markets = self._init_markets()
         self.firms = self._init_firms()
-        # RBV firm id -> (bundle, its rbv_candidate pair); see the module docstring
-        self.rbv_candidates: dict[int, tuple[tuple[float, ...], tuple[Market, float]]] = {}
+        # RBV firm id -> (bundle, its rbv_candidate market); see the module docstring
+        self.rbv_candidates: dict[int, tuple[tuple[float, ...], Market]] = {}
         # firm id -> (red, green, blue, their "r,g,b" trace text); see write_trace_rows
         self.trace_bundles: dict[int, tuple[float, float, float, str]] = {}
         self.sfm = SfmState(
@@ -327,7 +328,7 @@ class World:
             if firm.strategy is io:
                 noise = noises[pos:pos + n_markets] if k else None
                 pos += n_markets
-                choice = choose_io(firm, markets, noise, column)
+                choice = choose_io(firm, column, noise)
                 if choice.market == firm.market:
                     continue
             elif firm.market is not None:
@@ -339,14 +340,7 @@ class World:
                 memo = candidates.get(firm.id)
                 if memo is None or memo[0] != bundle:
                     memo = candidates[firm.id] = (bundle, candidate_of(firm, markets, literal_sign))
-                choice = choose_rbv(
-                    firm,
-                    markets,
-                    sfm,
-                    output_fraction=output_fraction,
-                    noise=noise,
-                    candidate=memo[1],
-                )
+                choice = choose_rbv(firm, memo[1], sfm, output_fraction, noise)
                 action = choice.action
                 if action is not enter:
                     if action is sell_resource:

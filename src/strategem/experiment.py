@@ -38,7 +38,7 @@ PROFILE_KEYS = {
 
 # Per-checkpoint columns of a run summary, in CSV order.
 CHECKPOINT_FIELDS = (
-    tuple(f.name for f in fields(StrategySnapshot) if f.name != "cycle")
+    tuple(f.name for f in fields(StrategySnapshot))
     + tuple(RELATIVE_DIFF_FIELDS)
     + tuple(f"n_{key}" for key in PROFILE_KEYS.values())
     + tuple(f"perf_{key}" for key in PROFILE_KEYS.values())
@@ -110,12 +110,10 @@ def derive_seed(base_seed: int, run_id: int) -> int:
     return int(np.random.SeedSequence([base_seed, run_id]).generate_state(1, np.uint64)[0])
 
 
-def _checkpoint_stats(world: World, cycle: int) -> dict[str, float]:
+def _checkpoint_stats(world: World) -> dict[str, float]:
     firms = world.firms
-    snap = top_k_snapshot(firms, 10, cycle)
-    stats: dict[str, float] = {
-        f.name: getattr(snap, f.name) for f in fields(snap) if f.name != "cycle"
-    }
+    snap = top_k_snapshot(firms)
+    stats: dict[str, float] = {f.name: getattr(snap, f.name) for f in fields(snap)}
     stats["best_is_rbv"] = 1.0 if snap.best_is_rbv else 0.0
     for name, (io_col, rbv_col) in RELATIVE_DIFF_FIELDS.items():
         io_v, rbv_v = stats[io_col], stats[rbv_col]
@@ -162,7 +160,7 @@ def run_one(
         write_trace_rows(trace_out, world)
 
     if config.n_cycles == 0:
-        summary.checkpoints[0] = _checkpoint_stats(world, 0)
+        summary.checkpoints[0] = _checkpoint_stats(world)
         return summary
 
     checkpoints = set(config.checkpoint_cycles)
@@ -171,7 +169,7 @@ def run_one(
         if trace_out is not None:
             write_trace_rows(trace_out, world)
         if cycle in checkpoints:
-            summary.checkpoints[cycle] = _checkpoint_stats(world, cycle)
+            summary.checkpoints[cycle] = _checkpoint_stats(world)
     return summary
 
 

@@ -24,7 +24,6 @@ class RbvProfile(Enum):
 class StrategySnapshot:
     """Leaderboard statistics for one checkpoint cycle."""
 
-    cycle: int
     io_in_top10: int
     rbv_in_top10: int
     best_io: float
@@ -63,27 +62,24 @@ def _avg(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def top_k_snapshot(firms: Sequence[Firm], k: int, cycle: int) -> StrategySnapshot:
-    """Leaderboard counts and per-strategy best/top-5/top-10/overall means.
+def top_k_snapshot(firms: Sequence[Firm]) -> StrategySnapshot:
+    """Top-10 counts and per-strategy best/top-5/top-10/overall means.
 
     All firms rank, dead or alive. When a strategy fields fewer than 5 or
     10 firms the averages use whatever is available.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     ranking = _ranked(firms)
-    top_k = ranking[:k]
-    io_count = sum(1 for f in top_k if f.strategy is Strategy.IO)
+    top10 = ranking[:10]
+    io_count = sum(1 for f in top10 if f.strategy is Strategy.IO)
 
     io_perfs = [f.total_perf for f in ranking if f.strategy is Strategy.IO]
     rbv_perfs = [f.total_perf for f in ranking if f.strategy is Strategy.RBV]
     return StrategySnapshot(
-        cycle=cycle,
         io_in_top10=io_count,
-        rbv_in_top10=len(top_k) - io_count,
+        rbv_in_top10=len(top10) - io_count,
         best_io=io_perfs[0] if io_perfs else 0.0,
         best_rbv=rbv_perfs[0] if rbv_perfs else 0.0,
-        best_is_rbv=bool(top_k) and top_k[0].strategy is Strategy.RBV,
+        best_is_rbv=ranking[0].strategy is Strategy.RBV,
         avg5_io=_avg(io_perfs[:5]),
         avg5_rbv=_avg(rbv_perfs[:5]),
         avg10_io=_avg(io_perfs[:10]),

@@ -42,12 +42,12 @@ class ResourceBundle:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.red, self.green, self.blue)
 
-    def dominates(self, other: "ResourceBundle", tol: float = BARRIER_TOL) -> bool:
-        """True when every component covers `other` up to a float tolerance."""
+    def dominates(self, other: "ResourceBundle") -> bool:
+        """True when every component covers `other` up to `BARRIER_TOL`."""
         return (
-            self.red >= other.red - tol
-            and self.green >= other.green - tol
-            and self.blue >= other.blue - tol
+            self.red >= other.red - BARRIER_TOL
+            and self.green >= other.green - BARRIER_TOL
+            and self.blue >= other.blue - BARRIER_TOL
         )
 
     def __eq__(self, other):

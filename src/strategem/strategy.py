@@ -6,17 +6,15 @@ take, pick once, and are locked in for good; before entering they weigh
 entry against liquidating their largest resource holding or selling output
 off-market.
 
-The IO rule has one home, `io_choose_market`: the first maximum of a column
-of market attractiveness, times a row of noise factors when there is one.
-The engine passes it the attractiveness column it keeps; called without
-one, it builds the column from `market_attractiveness`. Likewise the RBV
-candidate rule has one home, `rbv_candidate`: the engine passes
-`rbv_choose_market` the candidate it remembers; called without one, it
-scans the markets.
-
-Both choosers are pure functions of the snapshots they are given. They take
-optional noise factors for the imperfect-information model; tests call them
-noise-free.
+Each rule takes the inputs `World.step_cycle` keeps and no others.
+`io_choose_market` takes the column of `market_attractiveness` values in
+market-id order, whose positions are the market ids, and picks its first
+maximum, times a row of noise factors when there is one. `rbv_candidate`
+scans the markets, in id order, for the best-fitting one, and
+`rbv_choose_market` values the three actions against the candidate it is
+given, which `World` remembers while the firm's bundle is unchanged. Both
+choosers are pure functions of the snapshots they are given; the noise
+factors model imperfect information.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ class Action(Enum):
     ENTER = "enter"
     SELL_RESOURCE = "sell_resource"
     SELL_OUTPUT = "sell_output"
-    STAY = "stay"
     NONE = "none"
 
 
@@ -70,32 +67,20 @@ def market_attractiveness(market: Market) -> float:
 
 def io_choose_market(
     firm: Firm,
-    markets: Sequence[Market],
-    noise: Sequence[float] | None = None,
-    attractiveness: np.ndarray | None = None,
+    attractiveness: np.ndarray,
+    noise: np.ndarray | None,
 ) -> MarketChoice:
     """Pick the market with the highest expected per-occupant profit: the
     first maximum of `attractiveness * noise`, or of `attractiveness` alone
-    without noise.
+    without noise, so ties break toward the lowest id.
 
-    `noise` optionally multiplies each market's estimate, position for
-    position. Without `attractiveness` the column is built from
-    `market_attractiveness` in market-id order, so ties break toward the
-    lowest id whatever the order of `markets`. A given `attractiveness`
-    column must hold those values for `markets` already in id order, as
-    `World` keeps them.
+    `attractiveness` holds `market_attractiveness` of each market in id
+    order, as `World` keeps it, and the chosen market is its position.
+    `noise` multiplies each market's estimate, position for position.
     """
-    if not markets:
-        raise ValueError("io_choose_market requires at least one market")
-    if attractiveness is None:
-        order = sorted(range(len(markets)), key=lambda i: markets[i].id)
-        markets = [markets[i] for i in order]
-        attractiveness = np.array([market_attractiveness(m) for m in markets])
-        if noise is not None:
-            noise = np.asarray(noise, dtype=float)[order]
     scores = attractiveness if noise is None else attractiveness * noise
     j = int(scores.argmax())
-    return MarketChoice(markets[j].id, scores.item(j), Action.ENTER)
+    return MarketChoice(j, scores.item(j), Action.ENTER)
 
 
 def barrier_deficit(firm: Firm, market: Market) -> tuple[float, float, float]:
@@ -147,36 +132,21 @@ def largest_holding(resources: ResourceBundle, sfm: SfmState) -> tuple[int, floa
     return values.index(value), value
 
 
-def rbv_candidate(
-    firm: Firm,
-    markets: Sequence[Market],
-    literal_sign: bool = False,
-) -> tuple[Market, float]:
-    """Market minimizing the resource shortfall, ties toward the lowest id."""
-    best = None
-    best_dist = math.inf
-    for market in markets:
-        dist = resource_shortfall(firm, market, literal_sign)
-        if dist < best_dist or (dist == best_dist and best is not None and market.id < best.id):
-            best = market
-            best_dist = dist
-    return best, best_dist
+def rbv_candidate(firm: Firm, markets: Sequence[Market], literal_sign: bool) -> Market:
+    """The first market, in the given id order, that minimizes the
+    resource shortfall, so ties go to the lowest id."""
+    return min(markets, key=lambda market: resource_shortfall(firm, market, literal_sign))
 
 
 def rbv_choose_market(
     firm: Firm,
-    markets: Sequence[Market],
+    market: Market,
     sfm: SfmState,
-    output_fraction: float = 0.5,
-    noise: float = 1.0,
-    literal_sign: bool = False,
-    candidate: tuple[Market, float] | None = None,
+    output_fraction: float,
+    noise: float,
 ) -> MarketChoice:
-    """RBV step: find the best-fitting market, then value the three actions.
-
-    A firm already attached to a market stays there (lock-in). Otherwise the
-    candidate is the shortfall-minimizing market, and the firm picks the
-    highest-valued action among:
+    """RBV step: value the three actions against the candidate `market`
+    (see `rbv_candidate`) and pick the highest-valued one:
 
     - entering the candidate (expected profit share with itself counted in,
       net of the resource purchase needed to pass the barrier; requires the
@@ -186,20 +156,7 @@ def rbv_choose_market(
 
     When no action has positive value the firm does nothing (a wallflower).
     `noise` scales the profit estimates, not the shortfall.
-
-    `candidate` is the `(market, dist)` pair `rbv_candidate` returns for
-    this firm, `markets` and `literal_sign`; `World` passes the one it
-    remembers while the firm's bundle is unchanged. Without it the markets
-    are scanned here.
     """
-    if firm.market is not None:
-        return MarketChoice(market=firm.market, score=0.0, action=Action.STAY)
-    if not markets:
-        return MarketChoice(market=None, score=0.0, action=Action.NONE)
-
-    if candidate is None:
-        candidate = rbv_candidate(firm, markets, literal_sign)
-    market, _dist = candidate
     expected_profit = market.shares * market.share_value / (market.occupants + 1)
     expected_profit *= noise
 

@@ -144,14 +144,15 @@ def test_criterion_5_chooser_oracles():
             m.occupants = int(rng.integers(0, 5))
             markets.append(m)
         io_firm = Firm(0, Strategy.IO, 1000.0, ResourceBundle())
-        choice = io_choose_market(io_firm, markets)
+        column = np.array([market_attractiveness(m) for m in markets])
+        choice = io_choose_market(io_firm, column, None)
         scores = [market_attractiveness(m) for m in markets]
         best = max(scores)
         if choice.market != min(m.id for m, s in zip(markets, scores) if s == best):
             mismatches += 1
 
         rbv_firm = Firm(1, Strategy.RBV, 1000.0, ResourceBundle(*rng.uniform(0, 100, 3)))
-        candidate, _ = rbv_candidate(rbv_firm, markets)
+        candidate = rbv_candidate(rbv_firm, markets, False)
         dists = [resource_shortfall(rbv_firm, m) for m in markets]
         dmin = min(dists)
         if candidate.id != min(m.id for m, d in zip(markets, dists) if d == dmin):

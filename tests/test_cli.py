@@ -51,7 +51,9 @@ class TestValidate:
         path = tmp_path / "bad.ini"
         path.write_text("[sim]\nn_firms = lots\n")
         assert main(["validate", "--config", str(path)]) == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "[sim] n_firms" in err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("override", OUT_OF_RANGE)
@@ -99,6 +101,23 @@ class TestRun:
         )
         assert code == 0
         assert os.path.exists(os.path.join(out, "runs.csv"))
+
+    def test_run_reruns_from_its_echo_and_matches_batch_run_0(self, tmp_path):
+        small = ["--cycles", "5", "--firms", "20", "--markets", "5",
+                 "--set", "sim.checkpoint_cycles=5"]
+        out = str(tmp_path / "run")
+        assert main(["run", "--seed", "42", *small, "--out", out]) == 0
+        trace = open(os.path.join(out, "trace.csv"), "rb").read()
+
+        echo = os.path.join(out, "effective_config.ini")
+        rerun = str(tmp_path / "rerun")
+        assert main(["run", "--config", echo, "--out", rerun]) == 0
+        assert open(os.path.join(rerun, "trace.csv"), "rb").read() == trace
+
+        batch = str(tmp_path / "batch")
+        code = main(["batch", "--seed", "42", "--runs", "1", "--trace", *small, "--out", batch])
+        assert code == 0
+        assert open(os.path.join(batch, "traces", "run_0.csv"), "rb").read() == trace
 
 
 class TestBatchAndAggregate:

@@ -443,6 +443,13 @@ class TestCycleMechanics:
             assert rng.calls == [("random", (firm_draws + n_markets + 3,))]
         assert deaths == (not all(f.alive for f in world.firms))
 
+    @pytest.mark.parametrize("n_markets", [1, 2, 7, 20, 64])
+    def test_market_ids_are_list_positions(self, n_markets):
+        # io_choose_market returns a position in the attractiveness column,
+        # which the entry block reads as a market id.
+        world = make_world(seed=n_markets, n_markets=n_markets)
+        assert [m.id for m in world.markets] == list(range(n_markets))
+
     def test_every_live_io_firm_chooses_through_io_choose_market(self, monkeypatch):
         chosen = []
 
@@ -465,11 +472,10 @@ class TestCycleMechanics:
     ):
         chosen = []
 
-        def checking(firm, markets, *args, candidate, **kwargs):
-            market, dist = rbv_candidate(firm, markets, literal_sign)
-            assert (candidate[0].id, candidate[1]) == (market.id, dist)
+        def checking(firm, candidate, *args):
+            assert candidate is rbv_candidate(firm, world.markets, literal_sign)
             chosen.append(firm.id)
-            return rbv_choose_market(firm, markets, *args, candidate=candidate, **kwargs)
+            return rbv_choose_market(firm, candidate, *args)
 
         monkeypatch.setattr(strategem.engine, "rbv_choose_market", checking)
         world = make_world(seed=seed, literal_distance_sign=literal_sign)

@@ -66,21 +66,23 @@ class TestRelativeDiff:
 class TestTopKSnapshot:
     def test_one_sided_population(self):
         firms = [make_firm(i, Strategy.IO, total_perf=i) for i in range(10)]
-        snap = top_k_snapshot(firms, 10, cycle=20)
+        snap = top_k_snapshot(firms)
         assert snap.io_in_top10 == 10
         assert snap.rbv_in_top10 == 0
 
     def test_tiny_ranked_list(self):
+        # Fewer than 10 firms: all of them are the top 10.
         firms = [
             make_firm(0, Strategy.IO, 3.0),
             make_firm(1, Strategy.IO, 1.0),
             make_firm(2, Strategy.RBV, 2.0),
         ]
-        snap = top_k_snapshot(firms, 2, cycle=20)
-        assert snap.io_in_top10 == 1
+        snap = top_k_snapshot(firms)
+        assert snap.io_in_top10 == 2
         assert snap.rbv_in_top10 == 1
         assert snap.best_io == 3.0
         assert snap.best_rbv == 2.0
+        assert not snap.best_is_rbv
 
     def test_counts_sum_to_k(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -88,7 +90,7 @@ class TestTopKSnapshot:
             make_firm(i, Strategy.IO if i % 2 else Strategy.RBV, rng.normal())
             for i in range(200)
         ]
-        snap = top_k_snapshot(firms, 10, cycle=20)
+        snap = top_k_snapshot(firms)
         assert snap.io_in_top10 + snap.rbv_in_top10 == 10
 
     def test_matches_brute_force_sort(self):
@@ -102,7 +104,7 @@ class TestTopKSnapshot:
             )
             for i in range(200)
         ]
-        snap = top_k_snapshot(firms, 10, cycle=200)
+        snap = top_k_snapshot(firms)
         ranked = sorted(firms, key=lambda f: (-f.total_perf, f.id))
         assert snap.io_in_top10 == sum(
             1 for f in ranked[:10] if f.strategy is Strategy.IO
@@ -119,10 +121,6 @@ class TestTopKSnapshot:
         assert snap.avg5_io == pytest.approx(sum(io[:5]) / 5)
         assert snap.avg10_rbv == pytest.approx(sum(rbv[:10]) / 10)
         assert snap.avg_all_io == pytest.approx(sum(io) / len(io))
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            top_k_snapshot([], 0, cycle=20)
 
 
 class TestClassifyRbv:

@@ -33,6 +33,12 @@ def make_sfm(pr=1.0, pg=1.0, pb=1.0):
     return SfmState(ResourceBundle(1e6, 1e6, 1e6), pr, pg, pb)
 
 
+def column(markets):
+    """The attractiveness column `World.step_cycle` keeps for `markets`,
+    which must be in id order with ids equal to their positions."""
+    return np.array([market_attractiveness(m) for m in markets])
+
+
 class TestMarketAttractiveness:
     """The per-occupant share a market promises is also what it pays."""
 
@@ -57,25 +63,24 @@ class TestIoChooser:
     def test_prefers_higher_expected_profit(self):
         a = make_market(0, 10, 2.0, occupants=4)   # 10*2/4 = 5
         b = make_market(1, 100, 1.0, occupants=50)  # 100*1/50 = 2
-        choice = io_choose_market(make_firm(), [a, b])
+        choice = io_choose_market(make_firm(), column([a, b]), None)
         assert choice.market == 0
         assert choice.score == pytest.approx(5.0)
         assert choice.action is Action.ENTER
 
     def test_empty_market_divisor_floored_at_one(self):
         m = make_market(0, 10, 1.0, occupants=0)
-        choice = io_choose_market(make_firm(), [m])
+        choice = io_choose_market(make_firm(), column([m]), None)
         assert choice.market == 0
         assert choice.score == pytest.approx(10.0)
 
     def test_tie_breaks_to_lowest_id(self):
-        a = make_market(3, 10, 1.0, occupants=1)
-        b = make_market(1, 10, 1.0, occupants=1)
-        assert io_choose_market(make_firm(), [a, b]).market == 1
-
-    def test_requires_markets(self):
-        with pytest.raises(ValueError):
-            io_choose_market(make_firm(), [])
+        markets = [
+            make_market(0, 10, 1.0, occupants=2),
+            make_market(1, 10, 1.0, occupants=1),
+            make_market(2, 10, 1.0, occupants=1),
+        ]
+        assert io_choose_market(make_firm(), column(markets), None).market == 1
 
     def test_matches_brute_force_argmax(self):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -89,7 +94,7 @@ class TestIoChooser:
                 )
                 for j in range(20)
             ]
-            choice = io_choose_market(make_firm(), markets)
+            choice = io_choose_market(make_firm(), column(markets), None)
             scores = [market_attractiveness(m) for m in markets]
             best = max(scores)
             oracle = min(m.id for m, s in zip(markets, scores) if s == best)
@@ -97,10 +102,10 @@ class TestIoChooser:
 
     def test_noisy_choice_matches_first_maximum_scan(self):
         # Few share values, occupancies and noise levels make exact ties
-        # common; the list order is shuffled so position and id differ.
+        # common.
         rng = np.random.Generator(np.random.PCG64(2))
         tied = 0
-        for trial in range(500):
+        for _ in range(500):
             n = int(rng.integers(1, 12))
             markets = [
                 make_market(
@@ -112,15 +117,11 @@ class TestIoChooser:
                 for j in range(n)
             ]
             noise = [float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.7, 1.3)])) for _ in range(n)]
-            order = rng.permutation(n)
-            markets = [markets[i] for i in order]
-            noise = [noise[i] for i in order]
-            given_noise = np.array(noise) if trial % 2 else noise
-            choice = io_choose_market(make_firm(), markets, given_noise)
+            choice = io_choose_market(make_firm(), column(markets), np.array(noise))
 
             best_id, best = None, -math.inf
             scores = []
-            for m, factor in sorted(zip(markets, noise), key=lambda pair: pair[0].id):
+            for m, factor in zip(markets, noise):
                 score = market_attractiveness(m) * factor
                 scores.append(score)
                 if score > best:
@@ -137,10 +138,10 @@ class TestIoChooser:
             make_market(1, 100, 0.4, occupants=7),
             make_market(2, 1000, 0.9, occupants=40),
         ]
-        base = io_choose_market(make_firm(), markets).market
+        base = io_choose_market(make_firm(), column(markets), None).market
         for m in markets:
             m.share_value *= scale
-        assert io_choose_market(make_firm(), markets).market == base
+        assert io_choose_market(make_firm(), column(markets), None).market == base
 
 
 class TestResourceShortfall:
@@ -171,31 +172,29 @@ class TestResourceShortfall:
         firm = make_firm(Strategy.RBV, resources=(5, 2, 0))
         market = make_market(0, 100, 1.0, barrier=(3, 4, 2))
         assert barrier_deficit(firm, market) == (0.0, 2.0, 2.0)
-        choice = rbv_choose_market(firm, [market], make_sfm(1, 3, 5))
+        choice = rbv_choose_market(firm, market, make_sfm(1, 3, 5), 0.05, 1.0)
         assert choice.action is Action.ENTER
         assert choice.score == pytest.approx(100.0 - 16.0)
 
 
 class TestRbvChooser:
-    def test_lock_in(self):
-        firm = make_firm(Strategy.RBV)
-        firm.market = 7
-        choice = rbv_choose_market(firm, [make_market(0, 10, 1.0)], make_sfm())
-        assert choice.action is Action.STAY
-        assert choice.market == 7
-
     def test_exact_barrier_match_enters(self):
         firm = make_firm(Strategy.RBV, resources=(3, 3, 3))
         markets = [
             make_market(0, 10, 1.0, barrier=(9, 9, 9)),
             make_market(1, 10, 1.0, barrier=(3, 3, 3)),
         ]
-        choice = rbv_choose_market(firm, markets, make_sfm())
+        candidate = rbv_candidate(firm, markets, False)
+        assert candidate.id == 1
+        choice = rbv_choose_market(firm, candidate, make_sfm(), 0.05, 1.0)
         assert choice.action is Action.ENTER
         assert choice.market == 1
 
-    def test_none_when_no_markets(self):
-        choice = rbv_choose_market(make_firm(Strategy.RBV), [], make_sfm())
+    def test_none_when_no_action_pays(self):
+        # No cash for the deficit, nothing to liquidate, no output sales.
+        firm = make_firm(Strategy.RBV, cash=0.0)
+        market = make_market(0, 100, 1.0, barrier=(1, 0, 0))
+        choice = rbv_choose_market(firm, market, make_sfm(), 0.0, 1.0)
         assert choice.action is Action.NONE
         assert choice.market is None
 
@@ -203,10 +202,8 @@ class TestRbvChooser:
         # Entry costs 300 > cash 10; liquidating the bundle is worth 5,
         # selling output is worth output_fraction * expected profit.
         firm = make_firm(Strategy.RBV, cash=10.0, resources=(5, 0, 0))
-        markets = [make_market(0, 100, 1.0, barrier=(100, 100, 105))]
-        choice = rbv_choose_market(
-            firm, markets, make_sfm(), output_fraction=0.0
-        )
+        market = make_market(0, 100, 1.0, barrier=(100, 100, 105))
+        choice = rbv_choose_market(firm, market, make_sfm(), 0.0, 1.0)
         assert choice.action is Action.SELL_RESOURCE
         assert choice.score == pytest.approx(5.0)
 
@@ -218,12 +215,11 @@ class TestRbvChooser:
                 make_market(j, 10, 1.0, barrier=tuple(rng.uniform(0, 100, 3)))
                 for j in range(20)
             ]
-            candidate, dist = rbv_candidate(firm, markets)
+            candidate = rbv_candidate(firm, markets, False)
             dists = [resource_shortfall(firm, m) for m in markets]
             best = min(dists)
             oracle = min(m.id for m, d in zip(markets, dists) if d == best)
             assert candidate.id == oracle
-            assert dist == pytest.approx(best)
 
     @given(st.floats(0.0, 50.0))
     @settings(max_examples=30)
@@ -231,7 +227,7 @@ class TestRbvChooser:
         firm = make_firm(Strategy.RBV, resources=(10, 40, 5))
         barriers = [(30, 20, 50), (5, 60, 10), (45, 45, 0)]
         markets = [make_market(j, 10, 1.0, barrier=b) for j, b in enumerate(barriers)]
-        base = rbv_candidate(firm, markets)[0].id
+        base = rbv_candidate(firm, markets, False).id
         firm2 = make_firm(
             Strategy.RBV, resources=tuple(c + shift for c in (10, 40, 5))
         )
@@ -239,7 +235,7 @@ class TestRbvChooser:
             make_market(j, 10, 1.0, barrier=tuple(c + shift for c in b))
             for j, b in enumerate(barriers)
         ]
-        assert rbv_candidate(firm2, markets2)[0].id == base
+        assert rbv_candidate(firm2, markets2, False).id == base
 
     def test_dominating_firm_gets_zero_shortfall_candidate(self):
         rng = np.random.Generator(np.random.PCG64(3))
@@ -250,5 +246,5 @@ class TestRbvChooser:
                 Strategy.RBV, resources=tuple(c + 1.0 for c in dominated)
             )
             markets = [make_market(j, 10, 1.0, barrier=b) for j, b in enumerate(barriers)]
-            _, dist = rbv_candidate(firm, markets)
-            assert dist == 0.0
+            candidate = rbv_candidate(firm, markets, False)
+            assert resource_shortfall(firm, candidate) == 0.0
