@@ -4,18 +4,25 @@ One `World` owns all mutable state for a run and a private RNG stream;
 `step_cycle` advances it one period in a fixed order, so two worlds built
 from the same config and seed produce bit-identical histories.
 
-Cycle order: firms act (choose / trade / enter) in ascending id, markets
-pay out, costs are charged, share values and factor prices update, and ROA
-and survival are settled.
+Cycle order: a prepare pass, then firms act (choose / trade / enter) in
+ascending id, markets pay out, costs are charged, share values and factor
+prices update, and ROA and survival are settled.
+
+The prepare pass walks every firm once. It zeroes the cycle's `revenue`,
+`cost` and `profit` on every firm, and `instant_perf` on the dead, which
+is what keeps a dead firm frozen at 0.0 flows (see `Firm`). It lists the
+actors, in ascending id: the live IO firms and the live RBV firms with no
+market. Locked-in RBV firms and the dead never reach the acting loop.
+Nothing in the acting phase changes a firm's `alive` flag or the market of
+any firm but the one acting, so the list holds for the whole phase.
 
 Each cycle draws all its random numbers with one `rng.random(k)` call. The
-block holds, in ascending firm id, `n_markets` draws for each live IO firm
-and one draw for each live RBV firm with no market, in both cases only
-while the cycle's estimation error `noise_amplitude / cycle` is above zero;
-after those come `n_markets` share-value draws and 3 price draws. Nothing
-in the acting phase changes a firm's `alive` flag or the market of any firm
-but the one acting, so the layout is fixed at the top of the cycle, and the
-block holds the same doubles that separate draws in that order would give.
+block holds, in actor order, `n_markets` draws for each IO actor and one
+for each RBV actor, only while the cycle's estimation error
+`noise_amplitude / cycle` is above zero; after those come `n_markets`
+share-value draws and 3 price draws. The prepare pass counts its size, and
+the block holds the same doubles that separate draws in that order would
+give.
 
 IO firms choose with `strategy.io_choose_market` over a column of
 `market_attractiveness` values, a local of `step_cycle` built at the top
@@ -39,10 +46,21 @@ buys the barrier deficit through `sfm_buy` and books the purchase in the
 cycle's trade tallies, which like the column are locals of `step_cycle`,
 so it adds no attribute to `World`. A zero deficit means the bundle already
 meets the barrier, its components being finite, so such a join buys
-nothing. `step_cycle` binds the functions it calls to locals once per
-call, never at import, so a function swapped on this module for a run (as
-a tracer that wraps functions by name does) is still the one called, and
-as often.
+nothing.
+
+The per-firm leaves that nothing wraps are inlined, each in the exact
+operation order of the function it restates: the entry block's barrier
+deficit (`strategy.barrier_deficit`) and the two column cells a join moves
+(`market_attractiveness`), the payout's maintenance base
+(`model.total_asset_value`) and settlement's ROA (`metrics.instant_roa`).
+The calls that a function-wrapping tracer counts by name stay calls, as
+often as before: the choosers once per actor, `sfm_buy` and `sfm_sell` once
+per trade, `update_share_value` once per market, `update_sfm_prices` once
+per cycle, and `total_asset_value` and `survival_check` once per firm alive
+at settlement (`tests/test_engine.py::TestTracerHooks` and
+`perfbench/tracer.py`). `step_cycle` binds them to locals once per call,
+never at import, so a function swapped on this module for a run is still
+the one called.
 """
 
 from __future__ import annotations
@@ -52,7 +70,6 @@ from typing import IO
 
 import numpy as np
 
-from .metrics import instant_roa
 from .model import (
     Firm,
     Market,
@@ -65,7 +82,6 @@ from .model import (
 )
 from .strategy import (
     Action,
-    barrier_deficit,
     io_choose_market,
     largest_holding,
     market_attractiveness,
@@ -284,9 +300,8 @@ class World:
         io = Strategy.IO
         enter, sell_resource, sell_output = Action.ENTER, Action.SELL_RESOURCE, Action.SELL_OUTPUT
         choose_io, choose_rbv, candidate_of = io_choose_market, rbv_choose_market, rbv_candidate
-        deficit_of, buy, sell = barrier_deficit, sfm_buy, sfm_sell
-        attractiveness_of = market_attractiveness
-        asset_value, roa_of, survives = total_asset_value, instant_roa, survival_check
+        buy, sell = sfm_buy, sfm_sell
+        asset_value, survives = total_asset_value, survival_check
 
         # The cycle's factor-market book: units bought and sold per type, and
         # the units bought with their eps-weighted sum, for step (6).
@@ -294,21 +309,28 @@ class World:
         supply_red = supply_green = supply_blue = 0.0
         demand_eps_weight = demand_units = 0.0
 
-        # The cycle's estimation error: every firm was founded at cycle 0, so
-        # all share one age, and older firms estimate better. The firm draws
-        # of the cycle's one block (layout in the module docstring) become
-        # one noise array, which the acting phase walks with a cursor in
-        # firm order; it is empty, and never read, while k is 0.
+        # The prepare pass: zero the cycle's flows, freeze the dead, list the
+        # firms that act and size their draw block (layout in the module
+        # docstring). Every firm was founded at cycle 0, so all share one
+        # age, and older firms estimate better. The acting phase walks one
+        # noise array with a cursor in actor order; it is empty, and never
+        # read, while k is 0.
         n_markets = len(markets)
         eps = cfg.noise_amplitude / self.cycle
+        actors = []
         k = 0
-        if eps > 0.0:
-            for firm in firms:
-                if firm.alive:
-                    if firm.strategy is io:
-                        k += n_markets
-                    elif firm.market is None:
-                        k += 1
+        for firm in firms:
+            firm.revenue = firm.cost = firm.profit = 0.0
+            if not firm.alive:
+                firm.instant_perf = 0.0
+            elif firm.strategy is io:
+                actors.append(firm)
+                k += n_markets
+            elif firm.market is None:
+                actors.append(firm)
+                k += 1
+        if not eps > 0.0:
+            k = 0
         draws = rng.random(k + n_markets + 3)
         noises = 1.0 + eps * (2.0 * draws[:k] - 1.0)
         pos = 0
@@ -317,22 +339,16 @@ class World:
         # decision sees the occupancy left by every earlier mover in the
         # same cycle, so a crowd disperses instead of piling onto one
         # opportunity.
-        column = np.array([attractiveness_of(m) for m in markets])
+        column = np.array([market_attractiveness(m) for m in markets])
         candidates = self.rbv_candidates
         literal_sign, output_fraction = cfg.literal_distance_sign, cfg.output_fraction
-        for firm in firms:
-            firm.revenue = firm.cost = firm.profit = 0.0
-            if not firm.alive:
-                firm.instant_perf = 0.0
-                continue
+        for firm in actors:
             if firm.strategy is io:
                 noise = noises[pos:pos + n_markets] if k else None
                 pos += n_markets
                 choice = choose_io(firm, column, noise)
                 if choice.market == firm.market:
                     continue
-            elif firm.market is not None:
-                continue  # locked in
             else:
                 noise = noises.item(pos) if k else 1.0
                 pos += 1
@@ -358,12 +374,19 @@ class World:
                     elif action is sell_output:
                         firm.revenue = choice.score
                     continue
-            # Entry, for both strategies: buy the barrier deficit and join the
-            # market if it is then met. A firm that cannot buy the whole
-            # deficit stays out this cycle and retries later; no partial siege
-            # purchases. The firm leaves its previous market only on a join.
+            # Entry, for both strategies: buy the barrier deficit
+            # (`barrier_deficit`, inlined) and join the market if it is then
+            # met. A firm that cannot buy the whole deficit stays out this
+            # cycle and retries later; no partial siege purchases. The firm
+            # leaves its previous market only on a join.
             market = markets[choice.market]
-            dr, dg, db = deficit_of(firm, market)
+            barrier, res = market.barrier, firm.resources
+            dr = barrier.red - res.red
+            dr = dr if dr >= 0.0 else 0.0
+            dg = barrier.green - res.green
+            dg = dg if dg >= 0.0 else 0.0
+            db = barrier.blue - res.blue
+            db = db if db >= 0.0 else 0.0
             if dr > 0 or dg > 0 or db > 0:
                 cost = buy(firm, ResourceBundle(dr, dg, db), sfm)
                 if cost is None:
@@ -375,26 +398,32 @@ class World:
                 units = dr + dg + db
                 demand_eps_weight += units * eps
                 demand_units += units
-                if not firm.resources.dominates(market.barrier):
+                if not res.dominates(barrier):
                     continue
+            # The two column cells the join moves, as `market_attractiveness`.
             if firm.market is not None:
                 left = markets[firm.market]
-                left.occupants -= 1
-                column[left.id] = attractiveness_of(left)
+                occ = left.occupants = left.occupants - 1
+                column[left.id] = left.shares * left.share_value / (occ if occ > 1 else 1)
             firm.market = market.id
-            market.occupants += 1
-            column[market.id] = attractiveness_of(market)
+            occ = market.occupants = market.occupants + 1
+            column[market.id] = market.shares * market.share_value / (occ if occ > 1 else 1)
 
         # (4)-(5) markets pay each occupant its equal share, costs are
-        # charged, profits booked
+        # charged, profits booked. Maintenance is a share of
+        # `total_asset_value`, inlined at the cycle's unmoved prices.
         payouts = column.tolist()
         maintenance_rate = cfg.maintenance_rate
+        price_red, price_green, price_blue = sfm.price_red, sfm.price_green, sfm.price_blue
         for firm in firms:
             if not firm.alive:
                 continue
             if firm.market is not None:
                 firm.revenue = payouts[firm.market]
-            maintenance = maintenance_rate * asset_value(firm, sfm)
+            res = firm.resources
+            maintenance = maintenance_rate * (
+                firm.cash + (res.red * price_red + res.green * price_green + res.blue * price_blue)
+            )
             firm.cost += maintenance
             firm.profit = firm.revenue - firm.cost
             # Purchases already left the cash account in sfm_buy, so only
@@ -421,13 +450,13 @@ class World:
             cfg.price_floor,
         )
 
-        # (7)-(8) performance update, survival
+        # (7)-(8) performance update (`metrics.instant_roa`, inlined), survival
         grace = cfg.bankruptcy_grace
         for firm in firms:
             if not firm.alive:
                 continue
             assets = asset_value(firm, sfm)
-            roa = roa_of(firm.profit, assets)
+            roa = 0.0 if assets <= 0.0 else firm.profit / assets
             firm.instant_perf = roa
             firm.total_perf += roa
             if not survives(firm, assets, grace):

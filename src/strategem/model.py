@@ -230,8 +230,8 @@ class SimConfig:
     output_fraction: float = 0.05
     bankruptcy_grace: int = 10
 
-    # Restores the literal sign pos(r - R) in the entry-distance formula for
-    # comparison runs; the default orientation is the shortfall pos(R - r).
+    # Restores the literal sign max(r - R, 0) in the entry-distance formula
+    # for comparison runs; the default orientation is the shortfall max(R - r, 0).
     literal_distance_sign: bool = False
 
     def validate(self) -> None:

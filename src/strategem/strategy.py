@@ -36,7 +36,7 @@ class Action(Enum):
     NONE = "none"
 
 
-@dataclass
+@dataclass(slots=True)
 class MarketChoice:
     """Outcome of one firm's choice phase.
 
@@ -48,11 +48,6 @@ class MarketChoice:
     market: int | None
     score: float
     action: Action
-
-
-def pos(x: float) -> float:
-    """Positive part: x when x >= 0, else 0."""
-    return x if x >= 0.0 else 0.0
 
 
 def market_attractiveness(market: Market) -> float:
@@ -85,33 +80,36 @@ def io_choose_market(
 
 def barrier_deficit(firm: Firm, market: Market) -> tuple[float, float, float]:
     """Per-type amounts (red, green, blue) by which the firm's bundle falls
-    short of the market barrier; zero where the barrier is already met."""
+    short of the market barrier; zero where the barrier is already met.
+
+    Each amount is the positive part `d if d >= 0.0 else 0.0` of
+    `d = barrier - holding`, so a `-0.0` difference stays `-0.0`.
+    `World.step_cycle` restates this form inline in its entry block.
+    """
     res = firm.resources
     barrier = market.barrier
-    return (
-        pos(barrier.red - res.red),
-        pos(barrier.green - res.green),
-        pos(barrier.blue - res.blue),
-    )
+    dr = barrier.red - res.red
+    dg = barrier.green - res.green
+    db = barrier.blue - res.blue
+    return (dr if dr >= 0.0 else 0.0, dg if dg >= 0.0 else 0.0, db if db >= 0.0 else 0.0)
 
 
-def resource_shortfall(
-    firm: Firm,
-    market: Market,
-    literal_sign: bool = False,
-) -> float:
+def resource_shortfall(firm: Firm, market: Market, literal_sign: bool) -> float:
     """Clamped Euclidean distance from the firm's bundle to the barrier.
 
     Components where the firm already meets the barrier contribute nothing.
-    `literal_sign` flips the orientation to pos(holding - barrier), kept
-    only for comparison runs.
+    `literal_sign` flips the orientation to the positive part of
+    holding - barrier, kept only for comparison runs.
     """
     if literal_sign:
         res = firm.resources
         barrier = market.barrier
-        dr = pos(res.red - barrier.red)
-        dg = pos(res.green - barrier.green)
-        db = pos(res.blue - barrier.blue)
+        dr = res.red - barrier.red
+        dr = dr if dr >= 0.0 else 0.0
+        dg = res.green - barrier.green
+        dg = dg if dg >= 0.0 else 0.0
+        db = res.blue - barrier.blue
+        db = db if db >= 0.0 else 0.0
     else:
         dr, dg, db = barrier_deficit(firm, market)
     return math.sqrt(dr * dr + dg * dg + db * db)

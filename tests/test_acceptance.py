@@ -153,7 +153,7 @@ def test_criterion_5_chooser_oracles():
 
         rbv_firm = Firm(1, Strategy.RBV, 1000.0, ResourceBundle(*rng.uniform(0, 100, 3)))
         candidate = rbv_candidate(rbv_firm, markets, False)
-        dists = [resource_shortfall(rbv_firm, m) for m in markets]
+        dists = [resource_shortfall(rbv_firm, m, literal_sign=False) for m in markets]
         dmin = min(dists)
         if candidate.id != min(m.id for m, d in zip(markets, dists) if d == dmin):
             mismatches += 1

@@ -30,8 +30,14 @@ from strategem.model import (
     SfmState,
     SimConfig,
     Strategy,
+    bundle_value,
 )
-from strategem.strategy import io_choose_market, rbv_candidate, rbv_choose_market
+from strategem.strategy import (
+    barrier_deficit,
+    io_choose_market,
+    rbv_candidate,
+    rbv_choose_market,
+)
 
 
 def make_market(mid, shares, value, barrier=(0, 0, 0), occupants=0):
@@ -327,25 +333,47 @@ class TestStepCycle:
             assert firm.cost == 0.0
             assert firm.cash == 100.0 + 10.0
 
-    def test_affordable_deficit_buys_exactly_the_deficit(self, monkeypatch):
-        # Firms start empty with 100 cash; the 300-unit barrier costs 3 at
-        # the initial price of 0.01.
+    @pytest.mark.parametrize(
+        "entry_state",
+        [
+            pytest.param(lambda b: (b, (0.0, 0.0, 0.0)), id="empty"),
+            pytest.param(lambda b: (b, (b[0], b[1], 0.0)), id="two-components-met"),
+            pytest.param(lambda b: ((1e-323, b[1], b[2]), (5e-324, 0.0, 0.0)), id="gap-5e-324"),
+            # 0.0 - -0.0 is 0.0, and -0.0 - 0.0 is -0.0, which stays -0.0
+            pytest.param(lambda b: ((0.0, -0.0, b[2]), (-0.0, 0.0, 0.0)), id="signed-zero"),
+        ],
+    )
+    def test_affordable_deficit_buys_exactly_the_deficit(self, monkeypatch, entry_state):
+        # Firms hold at most part of a 300-unit barrier with 100 cash; the
+        # deficit costs at most 3 at the initial price of 0.01.
         buys = self._recording_buys(monkeypatch)
         world = _controlled_world(barrier_sum_range=(300.0, 300.0), initial_price=0.01)
-        barrier = world.markets[0].barrier.as_tuple()
+        market = world.markets[0]
+        barrier, holdings = entry_state(market.barrier.as_tuple())
+        market.barrier = ResourceBundle(*barrier)
+        for firm in world.firms:
+            firm.resources = ResourceBundle(*holdings)
+        deficit = barrier_deficit(world.firms[0], market)
+        assert max(deficit) > 0.0
+        cost = bundle_value(ResourceBundle(*deficit), world.sfm)
         stock_before = world.sfm.stock.as_tuple()
         world.step_cycle()
         assert sorted(firm_id for firm_id, _, _ in buys) == [0, 1]
-        for firm_id, wanted, cost in buys:
+        for firm_id, wanted, bought_at in buys:
             firm = world.firms[firm_id]
-            assert wanted == barrier
-            assert cost == pytest.approx(3.0, rel=1e-12)
+            assert _signed(wanted) == _signed(deficit)
+            assert bought_at == cost
             assert firm.market == 0
-            assert firm.resources.as_tuple() == barrier
+            assert firm.resources.as_tuple() == tuple(h + d for h, d in zip(holdings, deficit))
             assert firm.cost == cost
             assert firm.cash == 100.0 - cost + 10.0
-        for before, after, wanted in zip(stock_before, world.sfm.stock.as_tuple(), barrier):
+        for before, after, wanted in zip(stock_before, world.sfm.stock.as_tuple(), deficit):
             assert after == before - wanted - wanted
+
+
+def _signed(values):
+    """`values` with the sign of each, so that 0.0 and -0.0 differ."""
+    return [(v, math.copysign(1.0, v)) for v in values]
 
 
 class TestTracerHooks:
@@ -442,6 +470,37 @@ class TestCycleMechanics:
             world.step_cycle()
             assert rng.calls == [("random", (firm_draws + n_markets + 3,))]
         assert deaths == (not all(f.alive for f in world.firms))
+
+    def test_dead_firms_stay_frozen(self, monkeypatch):
+        # From the cycle after its death, a firm's flows read 0.0 and its
+        # cash, bundle, market and total_perf stop moving; no chooser sees it.
+        chosen = []
+
+        def recording(choose):
+            def chooser(firm, *args):
+                chosen.append(firm.id)
+                return choose(firm, *args)
+
+            return chooser
+
+        monkeypatch.setattr(strategem.engine, "io_choose_market", recording(io_choose_market))
+        monkeypatch.setattr(strategem.engine, "rbv_choose_market", recording(rbv_choose_market))
+        world = make_world(seed=4, initial_cash=0.0, bankruptcy_grace=1)
+        frozen: dict[int, tuple] = {}
+        for _ in range(12):
+            chosen.clear()
+            world.step_cycle()
+            assert frozen.keys().isdisjoint(chosen)
+            for firm in world.firms:
+                state = (firm.cash, firm.resources.as_tuple(), firm.market, firm.total_perf)
+                if firm.id in frozen:
+                    assert not firm.alive
+                    flows = (firm.revenue, firm.cost, firm.profit, firm.instant_perf)
+                    assert flows == (0.0, 0.0, 0.0, 0.0)
+                    assert state == frozen[firm.id]
+                elif not firm.alive:
+                    frozen[firm.id] = state
+        assert 0 < len(frozen) < len(world.firms)
 
     @pytest.mark.parametrize("n_markets", [1, 2, 7, 20, 64])
     def test_market_ids_are_list_positions(self, n_markets):

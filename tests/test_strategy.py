@@ -148,17 +148,17 @@ class TestResourceShortfall:
     def test_zero_when_firm_dominates(self):
         firm = make_firm(resources=(5, 5, 5))
         market = make_market(0, 10, 1.0, barrier=(3, 3, 3))
-        assert resource_shortfall(firm, market) == 0.0
+        assert resource_shortfall(firm, market, literal_sign=False) == 0.0
 
     def test_clamped_euclidean(self):
         firm = make_firm(resources=(5, 2, 0))
         market = make_market(0, 10, 1.0, barrier=(3, 4, 2))
-        assert resource_shortfall(firm, market) == pytest.approx(math.sqrt(8))
+        assert resource_shortfall(firm, market, literal_sign=False) == pytest.approx(math.sqrt(8))
 
     def test_zero_zero(self):
         firm = make_firm(resources=(0, 0, 0))
         market = make_market(0, 10, 1.0, barrier=(0, 0, 0))
-        assert resource_shortfall(firm, market) == 0.0
+        assert resource_shortfall(firm, market, literal_sign=False) == 0.0
 
     def test_literal_sign_flips_orientation(self):
         firm = make_firm(resources=(5, 2, 0))
@@ -216,7 +216,7 @@ class TestRbvChooser:
                 for j in range(20)
             ]
             candidate = rbv_candidate(firm, markets, False)
-            dists = [resource_shortfall(firm, m) for m in markets]
+            dists = [resource_shortfall(firm, m, literal_sign=False) for m in markets]
             best = min(dists)
             oracle = min(m.id for m, d in zip(markets, dists) if d == best)
             assert candidate.id == oracle
@@ -247,4 +247,4 @@ class TestRbvChooser:
             )
             markets = [make_market(j, 10, 1.0, barrier=b) for j, b in enumerate(barriers)]
             candidate = rbv_candidate(firm, markets, False)
-            assert resource_shortfall(firm, candidate) == 0.0
+            assert resource_shortfall(firm, candidate, literal_sign=False) == 0.0
