@@ -344,8 +344,8 @@ class TestStepCycle:
         ],
     )
     def test_affordable_deficit_buys_exactly_the_deficit(self, monkeypatch, entry_state):
-        # Firms hold at most part of a 300-unit barrier with 100 cash; the
-        # deficit costs at most 3 at the initial price of 0.01.
+        # Both firms hold part of the barrier and have 100 cash; the deficit
+        # costs at most 3 at the initial price of 0.01.
         buys = self._recording_buys(monkeypatch)
         world = _controlled_world(barrier_sum_range=(300.0, 300.0), initial_price=0.01)
         market = world.markets[0]
@@ -356,6 +356,7 @@ class TestStepCycle:
         deficit = barrier_deficit(world.firms[0], market)
         assert max(deficit) > 0.0
         cost = bundle_value(ResourceBundle(*deficit), world.sfm)
+        assert cost == pytest.approx(0.01 * sum(deficit), rel=1e-12)
         stock_before = world.sfm.stock.as_tuple()
         world.step_cycle()
         assert sorted(firm_id for firm_id, _, _ in buys) == [0, 1]
