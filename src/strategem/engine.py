@@ -5,8 +5,12 @@ One `World` owns all mutable state for a run and a private RNG stream;
 from the same config and seed produce bit-identical histories.
 
 Cycle order: a prepare pass, then firms act (choose / trade / enter) in
-ascending id, markets pay out, costs are charged, share values and factor
-prices update, and ROA and survival are settled.
+ascending id, share values and factor prices update, and one settlement
+pass walks the live firms: each is paid, charged its costs, and has its
+ROA and survival settled. The payout reads the column and the prices that
+the acting phase left, taken before the update, and the update reads no
+firm state, so this order gives the bytes of the model's order (pay out,
+then update).
 
 The prepare pass walks every firm once. It zeroes the cycle's `revenue`,
 `cost` and `profit` on every firm, and `instant_perf` on the dead, which
@@ -29,17 +33,21 @@ IO firms choose with `strategy.io_choose_market` over a column of
 of each cycle and rewritten by its entry block for the markets joined and
 left. `_init_markets` gives each market its list position as its id, so
 the column's positions are the market ids. Nothing else moves occupancy or
-share values before the payout, so the same column then pays each occupant
-its equal share, `shares * share_value / occupants`.
+share values in the acting phase, so the same column then pays each
+occupant its equal share, `shares * share_value / occupants`.
 
 RBV firms choose with `strategy.rbv_choose_market`, passed the candidate
-market that `World.rbv_candidates` remembers for the firm with the bundle
-`strategy.rbv_candidate` found it for. The candidate depends only on the
+market of `strategy.rbv_candidate` and the firm's `strategy.barrier_deficit`
+there, as a `ResourceBundle` that the chooser prices. `World.rbv_candidates`
+remembers both for the bundle they were found for, so the many output sales
+by firms whose bundle has not moved rebuild neither. Both depend only on the
 bundle, the barriers and `literal_distance_sign`; barriers are drawn once
 in `_init_markets` and the sign is fixed per run, so a bundle key is
 enough. A firm whose bundle differs from its key, after any trade, is
 scanned afresh; the key is the bundle's values, so no trade path has to
-clear it.
+clear it. (Bundles equal in value can differ in a zero's sign, and their
+deficits then only at a `-0.0` barrier component, which `_draw_bundle`
+never draws.)
 
 Both strategies enter through one block at the end of the acting loop. It
 buys the barrier deficit through `sfm_buy` and books the purchase in the
@@ -51,8 +59,10 @@ nothing.
 The per-firm leaves that nothing wraps are inlined, each in the exact
 operation order of the function it restates: the entry block's barrier
 deficit (`strategy.barrier_deficit`) and the two column cells a join moves
-(`market_attractiveness`), the payout's maintenance base
-(`model.total_asset_value`) and settlement's ROA (`metrics.instant_roa`).
+(`market_attractiveness`, from a per-cycle list of each market's
+`shares * share_value`), the payout's maintenance base
+(`model.total_asset_value`, at the prices taken before the update) and
+settlement's ROA (`metrics.instant_roa`).
 The calls that a function-wrapping tracer counts by name stay calls, as
 often as before: the choosers once per actor, `sfm_buy` and `sfm_sell` once
 per trade, `update_share_value` once per market, `update_sfm_prices` once
@@ -81,7 +91,10 @@ from .model import (
     total_asset_value,
 )
 from .strategy import (
-    Action,
+    ENTER,
+    SELL_OUTPUT,
+    SELL_RESOURCE,
+    barrier_deficit,
     io_choose_market,
     largest_holding,
     market_attractiveness,
@@ -244,8 +257,9 @@ class World:
         self.cycle = 0
         self.markets = self._init_markets()
         self.firms = self._init_firms()
-        # RBV firm id -> (bundle, its rbv_candidate market); see the module docstring
-        self.rbv_candidates: dict[int, tuple[tuple[float, ...], Market]] = {}
+        # RBV firm id -> (bundle, its rbv_candidate market, its barrier_deficit
+        # there); see the module docstring
+        self.rbv_candidates: dict[int, tuple[tuple[float, ...], Market, ResourceBundle]] = {}
         # firm id -> (red, green, blue, their "r,g,b" trace text); see write_trace_rows
         self.trace_bundles: dict[int, tuple[float, float, float, str]] = {}
         self.sfm = SfmState(
@@ -298,7 +312,6 @@ class World:
         self.cycle += 1
         # Bound once per call, not at import (see the module docstring).
         io = Strategy.IO
-        enter, sell_resource, sell_output = Action.ENTER, Action.SELL_RESOURCE, Action.SELL_OUTPUT
         choose_io, choose_rbv, candidate_of = io_choose_market, rbv_choose_market, rbv_candidate
         buy, sell = sfm_buy, sfm_sell
         asset_value, survives = total_asset_value, survival_check
@@ -340,6 +353,9 @@ class World:
         # same cycle, so a crowd disperses instead of piling onto one
         # opportunity.
         column = np.array([market_attractiveness(m) for m in markets])
+        # Each market's `shares * share_value`, the numerator of its cell;
+        # share values hold still until step (6).
+        totals = [m.shares * m.share_value for m in markets]
         candidates = self.rbv_candidates
         literal_sign, output_fraction = cfg.literal_distance_sign, cfg.output_fraction
         for firm in actors:
@@ -355,11 +371,13 @@ class World:
                 bundle = firm.resources.as_tuple()
                 memo = candidates.get(firm.id)
                 if memo is None or memo[0] != bundle:
-                    memo = candidates[firm.id] = (bundle, candidate_of(firm, markets, literal_sign))
-                choice = choose_rbv(firm, memo[1], sfm, output_fraction, noise)
+                    candidate = candidate_of(firm, markets, literal_sign)
+                    deficit = ResourceBundle(*barrier_deficit(firm, candidate))
+                    memo = candidates[firm.id] = (bundle, candidate, deficit)
+                choice = choose_rbv(firm, memo[1], memo[2], sfm, output_fraction, noise)
                 action = choice.action
-                if action is not enter:
-                    if action is sell_resource:
+                if action is not ENTER:
+                    if action is SELL_RESOURCE:
                         res = firm.resources
                         kind, _value = largest_holding(res, sfm)
                         offer = ResourceBundle(
@@ -371,7 +389,7 @@ class World:
                         supply_red += offer.red
                         supply_green += offer.green
                         supply_blue += offer.blue
-                    elif action is sell_output:
+                    elif action is SELL_OUTPUT:
                         firm.revenue = choice.score
                     continue
             # Entry, for both strategies: buy the barrier deficit
@@ -404,31 +422,14 @@ class World:
             if firm.market is not None:
                 left = markets[firm.market]
                 occ = left.occupants = left.occupants - 1
-                column[left.id] = left.shares * left.share_value / (occ if occ > 1 else 1)
+                column[left.id] = totals[left.id] / (occ if occ > 1 else 1)
             firm.market = market.id
             occ = market.occupants = market.occupants + 1
-            column[market.id] = market.shares * market.share_value / (occ if occ > 1 else 1)
+            column[market.id] = totals[market.id] / (occ if occ > 1 else 1)
 
-        # (4)-(5) markets pay each occupant its equal share, costs are
-        # charged, profits booked. Maintenance is a share of
-        # `total_asset_value`, inlined at the cycle's unmoved prices.
+        # The payout's snapshots, taken before step (6) moves the prices.
         payouts = column.tolist()
-        maintenance_rate = cfg.maintenance_rate
         price_red, price_green, price_blue = sfm.price_red, sfm.price_green, sfm.price_blue
-        for firm in firms:
-            if not firm.alive:
-                continue
-            if firm.market is not None:
-                firm.revenue = payouts[firm.market]
-            res = firm.resources
-            maintenance = maintenance_rate * (
-                firm.cash + (res.red * price_red + res.green * price_green + res.blue * price_blue)
-            )
-            firm.cost += maintenance
-            firm.profit = firm.revenue - firm.cost
-            # Purchases already left the cash account in sfm_buy, so only
-            # the flow part moves cash here.
-            firm.cash += firm.revenue - maintenance
 
         # (6) share values and factor prices update
         tail_draws = draws[k:].tolist()
@@ -450,21 +451,37 @@ class World:
             cfg.price_floor,
         )
 
-        # (7)-(8) performance update (`metrics.instant_roa`, inlined), survival
-        grace = cfg.bankruptcy_grace
+        # One settlement pass: (4)-(5) each live firm is paid its market's
+        # cell and charged a share of `total_asset_value`, inlined at the
+        # snapshot prices; (7)-(8) its ROA (`metrics.instant_roa`, inlined)
+        # at the updated prices, then survival.
+        maintenance_rate, grace = cfg.maintenance_rate, cfg.bankruptcy_grace
         for firm in firms:
             if not firm.alive:
                 continue
+            market_id = firm.market
+            revenue = firm.revenue if market_id is None else payouts[market_id]
+            res = firm.resources
+            cash = firm.cash
+            maintenance = maintenance_rate * (
+                cash + (res.red * price_red + res.green * price_green + res.blue * price_blue)
+            )
+            cost = firm.cost + maintenance
+            profit = revenue - cost
+            firm.revenue, firm.cost, firm.profit = revenue, cost, profit
+            # Purchases already left the cash account in sfm_buy, so only
+            # the flow part moves cash here.
+            firm.cash = cash + (revenue - maintenance)
             assets = asset_value(firm, sfm)
-            roa = 0.0 if assets <= 0.0 else firm.profit / assets
+            roa = 0.0 if assets <= 0.0 else profit / assets
             firm.instant_perf = roa
             firm.total_perf += roa
             if not survives(firm, assets, grace):
                 # The market tag stays on the corpse (profiling reads it),
                 # but only alive firms count as occupants.
                 firm.alive = False
-                if firm.market is not None:
-                    markets[firm.market].occupants -= 1
+                if market_id is not None:
+                    markets[market_id].occupants -= 1
 
     def recount_occupants(self) -> dict[int, int]:
         """Occupant counts recomputed from firm attachments (alive only)."""

@@ -36,6 +36,10 @@ PROFILE_KEYS = {
     RbvProfile.SOUL_MATE: "soul_mate",
 }
 
+# The most worker processes a batch may ask for, on any host. Criterion 1
+# runs 8; a batch starts at most one worker per run.
+MAX_PARALLELISM = 64
+
 # Per-checkpoint columns of a run summary, in CSV order.
 CHECKPOINT_FIELDS = (
     tuple(f.name for f in fields(StrategySnapshot))
@@ -99,8 +103,8 @@ class BatchConfig:
             raise ValueError("n_runs must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be a non-negative 64-bit integer")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        if not 1 <= self.parallelism <= MAX_PARALLELISM:
+            raise ValueError(f"parallelism must be within [1, {MAX_PARALLELISM}]")
         self.sim.validate()
 
 
@@ -208,8 +212,9 @@ def run_batch(
         trace_dir = os.path.join(out_dir, "traces")
         os.makedirs(trace_dir, exist_ok=True)
     tasks = [(i, batch.base_seed, batch.sim, trace_dir) for i in range(batch.n_runs)]
-    if batch.parallelism > 1 and batch.n_runs > 1:
-        with ProcessPoolExecutor(max_workers=batch.parallelism) as pool:
+    workers = min(batch.parallelism, batch.n_runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_run_task, tasks, chunksize=4))
     else:
         summaries = [_run_task(t) for t in tasks]

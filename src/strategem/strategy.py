@@ -11,10 +11,11 @@ Each rule takes the inputs `World.step_cycle` keeps and no others.
 market-id order, whose positions are the market ids, and picks its first
 maximum, times a row of noise factors when there is one. `rbv_candidate`
 scans the markets, in id order, for the best-fitting one, and
-`rbv_choose_market` values the three actions against the candidate it is
-given, which `World` remembers while the firm's bundle is unchanged. Both
-choosers are pure functions of the snapshots they are given; the noise
-factors model imperfect information.
+`rbv_choose_market` values the three actions against the candidate and
+the `barrier_deficit` there that it is given, both of which `World`
+remembers while the firm's bundle is unchanged. Both choosers are pure
+functions of the snapshots they are given; the noise factors model
+imperfect information.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ class Action(Enum):
     SELL_RESOURCE = "sell_resource"
     SELL_OUTPUT = "sell_output"
     NONE = "none"
+
+
+# The members bound once: a lookup on the `Enum` class costs about ten
+# times a global's.
+ENTER, SELL_RESOURCE, SELL_OUTPUT, NONE = Action
 
 
 @dataclass(slots=True)
@@ -75,7 +81,7 @@ def io_choose_market(
     """
     scores = attractiveness if noise is None else attractiveness * noise
     j = int(scores.argmax())
-    return MarketChoice(j, scores.item(j), Action.ENTER)
+    return MarketChoice(j, scores.item(j), ENTER)
 
 
 def barrier_deficit(firm: Firm, market: Market) -> tuple[float, float, float]:
@@ -139,6 +145,7 @@ def rbv_candidate(firm: Firm, markets: Sequence[Market], literal_sign: bool) -> 
 def rbv_choose_market(
     firm: Firm,
     market: Market,
+    deficit: ResourceBundle,
     sfm: SfmState,
     output_fraction: float,
     noise: float,
@@ -152,13 +159,14 @@ def rbv_choose_market(
     - liquidating its most abundant resource type on the factor market,
     - selling output off-market at `output_fraction` of the entry estimate.
 
-    When no action has positive value the firm does nothing (a wallflower).
-    `noise` scales the profit estimates, not the shortfall.
+    `deficit` is the firm's `barrier_deficit` at `market`, priced here at
+    current prices. When no action has positive value the firm does nothing
+    (a wallflower). `noise` scales the profit estimates, not the shortfall.
     """
     expected_profit = market.shares * market.share_value / (market.occupants + 1)
     expected_profit *= noise
 
-    cost = bundle_value(ResourceBundle(*barrier_deficit(firm, market)), sfm)
+    cost = bundle_value(deficit, sfm)
     enter_value = expected_profit - cost if cost <= firm.cash else -math.inf
 
     _kind, sell_resource_value = largest_holding(firm.resources, sfm)
@@ -166,9 +174,9 @@ def rbv_choose_market(
 
     best_value = max(enter_value, sell_resource_value, sell_output_value)
     if best_value <= 0.0:
-        return MarketChoice(market=None, score=best_value, action=Action.NONE)
+        return MarketChoice(None, best_value, NONE)
     if enter_value == best_value:
-        return MarketChoice(market=market.id, score=enter_value, action=Action.ENTER)
+        return MarketChoice(market.id, enter_value, ENTER)
     if sell_resource_value == best_value:
-        return MarketChoice(market=None, score=sell_resource_value, action=Action.SELL_RESOURCE)
-    return MarketChoice(market=market.id, score=sell_output_value, action=Action.SELL_OUTPUT)
+        return MarketChoice(None, sell_resource_value, SELL_RESOURCE)
+    return MarketChoice(market.id, sell_output_value, SELL_OUTPUT)

@@ -29,6 +29,7 @@ OUT_OF_RANGE = (
     "sim.literal_distance_sign=none",
     "sim.share_value_range=1",
     "sim.resource_init_range=1,2,3",
+    "batch.parallelism=100000",
 )
 
 

@@ -371,6 +371,33 @@ class TestStepCycle:
         for before, after, wanted in zip(stock_before, world.sfm.stock.as_tuple(), deficit):
             assert after == before - wanted - wanted
 
+    def test_settlement_pays_at_the_old_prices_and_values_at_the_new(self):
+        # A locked-in RBV firm neither acts nor trades, so its cost is the
+        # maintenance alone: a share of its assets at the prices the cycle
+        # opened with. Its ROA divides by its assets at the updated prices.
+        world = make_world(seed=6)
+        for _ in range(5):
+            world.step_cycle()
+        locked = [
+            f
+            for f in world.firms
+            if f.alive and f.strategy is Strategy.RBV and f.market is not None
+        ]
+        assert locked
+        before = {f.id: (f.cash, f.resources.as_tuple()) for f in locked}
+        pr, pg, pb = world.sfm.prices
+        world.step_cycle()
+        assert world.sfm.prices != (pr, pg, pb)
+        pr2, pg2, pb2 = world.sfm.prices
+        rate = world.config.maintenance_rate
+        for firm in locked:
+            cash, (r, g, b) = before[firm.id]
+            assert firm.resources.as_tuple() == (r, g, b)
+            assert firm.cost == rate * (cash + (r * pr + g * pg + b * pb))
+            assert firm.profit == firm.revenue - firm.cost
+            assert firm.cash == cash + (firm.revenue - firm.cost)
+            assert firm.instant_perf == firm.profit / (firm.cash + (r * pr2 + g * pg2 + b * pb2))
+
 
 def _signed(values):
     """`values` with the sign of each, so that 0.0 and -0.0 differ."""
@@ -532,10 +559,11 @@ class TestCycleMechanics:
     ):
         chosen = []
 
-        def checking(firm, candidate, *args):
+        def checking(firm, candidate, deficit, *args):
             assert candidate is rbv_candidate(firm, world.markets, literal_sign)
+            assert _signed(deficit.as_tuple()) == _signed(barrier_deficit(firm, candidate))
             chosen.append(firm.id)
-            return rbv_choose_market(firm, candidate, *args)
+            return rbv_choose_market(firm, candidate, deficit, *args)
 
         monkeypatch.setattr(strategem.engine, "rbv_choose_market", checking)
         world = make_world(seed=seed, literal_distance_sign=literal_sign)

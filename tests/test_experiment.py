@@ -210,3 +210,30 @@ class TestRunBatch:
             BatchConfig(base_seed=-1).validate()
         with pytest.raises(ValueError):
             BatchConfig(parallelism=0).validate()
+        with pytest.raises(ValueError):
+            BatchConfig(parallelism=experiment.MAX_PARALLELISM + 1).validate()
+        BatchConfig(parallelism=experiment.MAX_PARALLELISM).validate()
+
+    def test_pool_starts_at_most_one_worker_per_run(self, monkeypatch):
+        # A stub executor records the pool size and runs the tasks in this
+        # process, so no worker process starts.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        batch = BatchConfig(n_runs=3, base_seed=2, sim=small_sim(), parallelism=8)
+        summaries, _ = run_batch(batch)
+        assert sizes == [3]
+        assert [s.run_id for s in summaries] == [0, 1, 2]

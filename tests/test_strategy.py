@@ -33,6 +33,11 @@ def make_sfm(pr=1.0, pg=1.0, pb=1.0):
     return SfmState(ResourceBundle(1e6, 1e6, 1e6), pr, pg, pb)
 
 
+def deficit_of(firm, market):
+    """The deficit bundle `World` remembers for `rbv_choose_market`."""
+    return ResourceBundle(*barrier_deficit(firm, market))
+
+
 def column(markets):
     """The attractiveness column `World.step_cycle` keeps for `markets`,
     which must be in id order with ids equal to their positions."""
@@ -172,7 +177,8 @@ class TestResourceShortfall:
         firm = make_firm(Strategy.RBV, resources=(5, 2, 0))
         market = make_market(0, 100, 1.0, barrier=(3, 4, 2))
         assert barrier_deficit(firm, market) == (0.0, 2.0, 2.0)
-        choice = rbv_choose_market(firm, market, make_sfm(1, 3, 5), 0.05, 1.0)
+        deficit = deficit_of(firm, market)
+        choice = rbv_choose_market(firm, market, deficit, make_sfm(1, 3, 5), 0.05, 1.0)
         assert choice.action is Action.ENTER
         assert choice.score == pytest.approx(100.0 - 16.0)
 
@@ -186,7 +192,8 @@ class TestRbvChooser:
         ]
         candidate = rbv_candidate(firm, markets, False)
         assert candidate.id == 1
-        choice = rbv_choose_market(firm, candidate, make_sfm(), 0.05, 1.0)
+        deficit = deficit_of(firm, candidate)
+        choice = rbv_choose_market(firm, candidate, deficit, make_sfm(), 0.05, 1.0)
         assert choice.action is Action.ENTER
         assert choice.market == 1
 
@@ -194,7 +201,8 @@ class TestRbvChooser:
         # No cash for the deficit, nothing to liquidate, no output sales.
         firm = make_firm(Strategy.RBV, cash=0.0)
         market = make_market(0, 100, 1.0, barrier=(1, 0, 0))
-        choice = rbv_choose_market(firm, market, make_sfm(), 0.0, 1.0)
+        deficit = deficit_of(firm, market)
+        choice = rbv_choose_market(firm, market, deficit, make_sfm(), 0.0, 1.0)
         assert choice.action is Action.NONE
         assert choice.market is None
 
@@ -203,7 +211,8 @@ class TestRbvChooser:
         # selling output is worth output_fraction * expected profit.
         firm = make_firm(Strategy.RBV, cash=10.0, resources=(5, 0, 0))
         market = make_market(0, 100, 1.0, barrier=(100, 100, 105))
-        choice = rbv_choose_market(firm, market, make_sfm(), 0.0, 1.0)
+        deficit = deficit_of(firm, market)
+        choice = rbv_choose_market(firm, market, deficit, make_sfm(), 0.0, 1.0)
         assert choice.action is Action.SELL_RESOURCE
         assert choice.score == pytest.approx(5.0)
 
