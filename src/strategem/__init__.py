@@ -22,7 +22,6 @@ from .metrics import (
     RbvProfile,
     StrategySnapshot,
     classify_rbv,
-    instant_roa,
     relative_diff,
     top_k_snapshot,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "bundle_value",
     "classify_rbv",
     "derive_seed",
-    "instant_roa",
     "io_choose_market",
     "rbv_choose_market",
     "relative_diff",

@@ -54,15 +54,21 @@ buys the barrier deficit through `sfm_buy` and books the purchase in the
 cycle's trade tallies, which like the column are locals of `step_cycle`,
 so it adds no attribute to `World`. A zero deficit means the bundle already
 meets the barrier, its components being finite, so such a join buys
-nothing.
+nothing. Every full purchase joins too: it leaves each component at
+`r + max(b - r, 0)`, the barrier up to the rounding of that one sum, so the
+block does not test the bundle against the barrier again. Such a test
+would need a tolerance, and for barriers as large as `validate()` accepts
+the rounding passes any absolute one (1e-9 near `b` = 1e10), so the test
+would keep out a firm that had paid.
 
 The per-firm leaves that nothing wraps are inlined, each in the exact
 operation order of the function it restates: the entry block's barrier
 deficit (`strategy.barrier_deficit`) and the two column cells a join moves
 (`market_attractiveness`, from a per-cycle list of each market's
-`shares * share_value`), the payout's maintenance base
-(`model.total_asset_value`, at the prices taken before the update) and
-settlement's ROA (`metrics.instant_roa`).
+`shares * share_value`), and the payout's maintenance base
+(`model.total_asset_value`, at the prices taken before the update).
+Settlement's ROA, `profit / assets` or 0.0 for assets at or below zero,
+restates nothing: that line is its one definition.
 The calls that a function-wrapping tracer counts by name stay calls, as
 often as before: the choosers once per actor, `sfm_buy` and `sfm_sell` once
 per trade, `update_share_value` once per market, `update_sfm_prices` once
@@ -298,7 +304,7 @@ class World:
                 rng, cfg.resource_init_range, cfg.resource_sum_range, cfg.resource_mix_alpha
             )
             strategy = Strategy.IO if tags[i] == 0 else Strategy.RBV
-            firms.append(Firm(i, strategy, cfg.initial_cash, bundle))
+            firms.append(Firm(i, strategy, float(cfg.initial_cash), bundle))
         return firms
 
     # -- per-cycle machinery -------------------------------------------------
@@ -393,10 +399,10 @@ class World:
                         firm.revenue = choice.score
                     continue
             # Entry, for both strategies: buy the barrier deficit
-            # (`barrier_deficit`, inlined) and join the market if it is then
-            # met. A firm that cannot buy the whole deficit stays out this
-            # cycle and retries later; no partial siege purchases. The firm
-            # leaves its previous market only on a join.
+            # (`barrier_deficit`, inlined) and join the market. A firm that
+            # cannot buy the whole deficit stays out this cycle and retries
+            # later; no partial siege purchases. The firm leaves its previous
+            # market only on a join.
             market = markets[choice.market]
             barrier, res = market.barrier, firm.resources
             dr = barrier.red - res.red
@@ -416,8 +422,6 @@ class World:
                 units = dr + dg + db
                 demand_eps_weight += units * eps
                 demand_units += units
-                if not res.dominates(barrier):
-                    continue
             # The two column cells the join moves, as `market_attractiveness`.
             if firm.market is not None:
                 left = markets[firm.market]
@@ -453,8 +457,8 @@ class World:
 
         # One settlement pass: (4)-(5) each live firm is paid its market's
         # cell and charged a share of `total_asset_value`, inlined at the
-        # snapshot prices; (7)-(8) its ROA (`metrics.instant_roa`, inlined)
-        # at the updated prices, then survival.
+        # snapshot prices; (7)-(8) its ROA at the updated prices, then
+        # survival.
         maintenance_rate, grace = cfg.maintenance_rate, cfg.bankruptcy_grace
         for firm in firms:
             if not firm.alive:
@@ -483,24 +487,12 @@ class World:
                 if market_id is not None:
                     markets[market_id].occupants -= 1
 
-    def recount_occupants(self) -> dict[int, int]:
-        """Occupant counts recomputed from firm attachments (alive only)."""
-        counts = {m.id: 0 for m in self.markets}
-        for firm in self.firms:
-            if firm.alive and firm.market is not None:
-                counts[firm.market] += 1
-        return counts
-
 
 def format_field(value) -> str:
     """One CSV field. Floats carry 17 significant digits so a replay can be
-    compared byte for byte; NaN and None are blank, bools lower case."""
+    compared byte for byte, and NaN is blank; anything else prints as `str`."""
     if isinstance(value, float):
         return "" if math.isnan(value) else FLOAT_FORMAT % value
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return str(value)
 
 
@@ -516,12 +508,11 @@ def write_trace_rows(out: IO[str], world: World) -> None:
     `World.trace_bundles`, which keeps the component objects the text was
     made from and makes it again once any component is another object:
     an untouched component stays the same object, while equal values can
-    print differently (0.0 and -0.0). A row whose cash is not a float (an
-    int `initial_cash` at cycle 0) or that holds a NaN joins the same
-    values through `format_field` instead, since `%.17g` prints an int
-    through a double and NaN as "nan", where `format_field` prints `str`
-    and a blank; it returns the text and int values unchanged. The other
-    float columns start at 0.0 and the engine stores only floats in them.
+    print differently (0.0 and -0.0). A row that holds a NaN joins the
+    same values through `format_field` instead, since `%.17g` prints NaN as
+    "nan", where `format_field` prints a blank; it returns the text and int
+    values unchanged. The float columns start as floats (`_init_firms`
+    converts `initial_cash`) and the engine stores only floats in them.
     """
     run_id, cycle = world.run_id, world.cycle
     bundles = world.trace_bundles
@@ -553,10 +544,8 @@ def write_trace_rows(out: IO[str], world: World) -> None:
             firm.total_perf,
             "true" if firm.alive else "false",
         )
-        if type(firm.cash) is float:
-            row = _TRACE_ROW % values
-            if "nan" not in row:
-                rows.append(row)
-                continue
-        rows.append(",".join(map(format_field, values)) + "\n")
+        row = _TRACE_ROW % values
+        if "nan" in row:
+            row = ",".join(map(format_field, values)) + "\n"
+        rows.append(row)
     out.write("".join(rows))

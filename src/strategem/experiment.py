@@ -37,8 +37,12 @@ PROFILE_KEYS = {
 }
 
 # The most worker processes a batch may ask for, on any host. Criterion 1
-# runs 8; a batch starts at most one worker per run.
+# runs 8.
 MAX_PARALLELISM = 64
+
+# Runs a pool worker takes at a time. A batch starts at most one worker per
+# chunk, since a worker beyond that would get no chunk.
+CHUNKSIZE = 4
 
 # Per-checkpoint columns of a run summary, in CSV order.
 CHECKPOINT_FIELDS = (
@@ -212,10 +216,10 @@ def run_batch(
         trace_dir = os.path.join(out_dir, "traces")
         os.makedirs(trace_dir, exist_ok=True)
     tasks = [(i, batch.base_seed, batch.sim, trace_dir) for i in range(batch.n_runs)]
-    workers = min(batch.parallelism, batch.n_runs)
+    workers = min(batch.parallelism, math.ceil(batch.n_runs / CHUNKSIZE))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_run_task, tasks, chunksize=4))
+            summaries = list(pool.map(_run_task, tasks, chunksize=CHUNKSIZE))
     else:
         summaries = [_run_task(t) for t in tasks]
 

@@ -1,8 +1,9 @@
-"""Performance measures and leaderboard statistics.
+"""Leaderboard statistics and the RBV profile classifier.
 
-Rankings include dead firms at their frozen total performance; the
-population averages are meant to feel the drag of firms that never got
-going.
+Firms rank by `total_perf`, the running sum of the instant ROA that the
+engine's settlement pass computes (its one definition). Rankings include
+dead firms at their frozen total performance; the population averages are
+meant to feel the drag of firms that never got going.
 """
 
 from __future__ import annotations
@@ -36,14 +37,6 @@ class StrategySnapshot:
     avg10_rbv: float
     avg_all_io: float
     avg_all_rbv: float
-
-
-def instant_roa(profit: float, asset_value: float) -> float:
-    """Profit per unit of assets; zero when the firm has no positive assets
-    (a firm whose assets reach zero or below dies in the same cycle)."""
-    if asset_value <= 0.0:
-        return 0.0
-    return profit / asset_value
 
 
 def relative_diff(io_value: float, rbv_value: float) -> float:

@@ -19,11 +19,6 @@ class Strategy(Enum):
     RBV = "RBV"
 
 
-# Component-wise slack allowed when checking a bundle against a barrier;
-# buying an exact deficit can land one ulp short.
-BARRIER_TOL = 1e-9
-
-
 class ResourceBundle:
     """Quantities of the three colored resource types a firm can hold.
 
@@ -41,14 +36,6 @@ class ResourceBundle:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.red, self.green, self.blue)
-
-    def dominates(self, other: "ResourceBundle") -> bool:
-        """True when every component covers `other` up to `BARRIER_TOL`."""
-        return (
-            self.red >= other.red - BARRIER_TOL
-            and self.green >= other.green - BARRIER_TOL
-            and self.blue >= other.blue - BARRIER_TOL
-        )
 
     def __eq__(self, other):
         if not isinstance(other, ResourceBundle):

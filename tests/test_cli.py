@@ -189,9 +189,10 @@ class TestBatchAndAggregate:
         assert not os.path.exists(out)
 
     def test_batch_with_two_workers(self, tmp_path):
+        # 5 runs are two chunks of run_batch's 4, so both workers start.
         out = str(tmp_path / "out")
         code = main(
-            ["batch", "--workers", "2", "--runs", "2", "--cycles", "3", "--out", out,
+            ["batch", "--workers", "2", "--runs", "5", "--cycles", "3", "--out", out,
              "--set", "sim.n_firms=20", "--set", "sim.n_markets=5",
              "--set", "sim.checkpoint_cycles=3"]
         )

@@ -31,6 +31,7 @@ from strategem.model import (
     SimConfig,
     Strategy,
     bundle_value,
+    total_asset_value,
 )
 from strategem.strategy import (
     barrier_deficit,
@@ -58,6 +59,15 @@ def make_world(seed=0, **overrides):
     cfg = SimConfig(**overrides)
     rng = np.random.Generator(np.random.PCG64(seed))
     return World(cfg, rng)
+
+
+def recount_occupants(world):
+    """Occupant counts recomputed from firm attachments (alive only)."""
+    counts = {m.id: 0 for m in world.markets}
+    for firm in world.firms:
+        if firm.alive and firm.market is not None:
+            counts[firm.market] += 1
+    return counts
 
 
 class TestUpdateShareValue:
@@ -398,6 +408,41 @@ class TestStepCycle:
             assert firm.cash == cash + (firm.revenue - firm.cost)
             assert firm.instant_perf == firm.profit / (firm.cash + (r * pr2 + g * pg2 + b * pb2))
 
+    def test_no_assets_read_zero_roa_and_die_that_cycle(self):
+        # With no cash and no bundle, every barrier out of reach and output
+        # sales worth nothing, no firm earns or owns anything: each settles
+        # at 0 assets, where profit / assets would divide by zero. Its ROA
+        # reads 0.0 and it dies at once, well inside the bankruptcy grace.
+        world = make_world(
+            seed=4, initial_cash=0.0, resource_sum_range=(0.0, 0.0), output_fraction=0.0
+        )
+        assert world.config.bankruptcy_grace > 1
+        world.step_cycle()
+        for firm in world.firms:
+            assert total_asset_value(firm, world.sfm) <= 0.0
+            assert firm.instant_perf == 0.0
+            assert firm.total_perf == 0.0
+            assert not firm.alive
+
+    def test_a_full_purchase_joins_when_its_sum_rounds_short(self):
+        # At this scale the bought bundle r + (b - r) lands 1.9e-06 below the
+        # barrier b, past any absolute tolerance of 1e-9. The firm paid the
+        # whole deficit, so it joins.
+        world = _controlled_world(initial_cash=1e12, initial_stock=1e13)
+        market = world.markets[0]
+        market.barrier = ResourceBundle(13219659846.212645, 0.0, 0.0)
+        (firm,) = [f for f in world.firms if f.strategy is Strategy.IO]
+        firm.resources = ResourceBundle(4412109731.363244, 0.0, 0.0)
+        b, r = market.barrier.red, firm.resources.red
+        assert b - (r + (b - r)) > 1e-6
+        cost = bundle_value(ResourceBundle(b - r, 0.0, 0.0), world.sfm)
+        world.step_cycle()
+        assert firm.market == 0
+        assert firm.resources.as_tuple() == (r + (b - r), 0.0, 0.0)
+        assert firm.cost == cost
+        assert firm.cash == (1e12 - cost) + firm.revenue
+        assert firm.revenue > 0.0
+
 
 def _signed(values):
     """`values` with the sign of each, so that 0.0 and -0.0 differ."""
@@ -462,11 +507,13 @@ class _RecordingRng:
 
 
 class TestCycleMechanics:
-    def test_state_stays_python_floats(self):
-        world = make_world(seed=3)
+    @pytest.mark.parametrize("initial_cash", [1000.0, 1000], ids=["float", "int"])
+    def test_state_stays_python_floats(self, initial_cash):
+        world = make_world(seed=3, initial_cash=initial_cash)
+        values = [firm.cash for firm in world.firms]
         for _ in range(3):
             world.step_cycle()
-        values = list(world.sfm.prices)
+        values += world.sfm.prices
         for firm in world.firms:
             values += [firm.cash, firm.revenue, firm.cost, firm.profit]
             values += [firm.instant_perf, firm.total_perf, *firm.resources.as_tuple()]
@@ -615,7 +662,7 @@ def _fielded_rows(world):
             world.cycle,
             firm.id,
             firm.strategy.value,
-            firm.market,
+            "" if firm.market is None else firm.market,
             firm.cash,
             res.red,
             res.green,
@@ -625,7 +672,7 @@ def _fielded_rows(world):
             firm.profit,
             firm.instant_perf,
             firm.total_perf,
-            firm.alive,
+            "true" if firm.alive else "false",
         )
         lines.append(",".join(format_field(v) for v in row) + "\n")
     return "".join(lines)
@@ -671,12 +718,23 @@ class TestTraceRows:
         assert (nan_fields[5], nan_fields[6], nan_fields[13]) == ("", "", "")
         assert lines[3].endswith(",false")
 
-    @pytest.mark.parametrize("cash", [1000, 10**17])
-    def test_int_initial_cash_at_cycle_zero(self, cash):
+    @pytest.mark.parametrize(
+        "cash,expected",
+        [
+            pytest.param(1000, "1000", id="1000"),
+            pytest.param(10**17, "1e+17", id="100000000000000000"),
+        ],
+    )
+    def test_int_initial_cash_at_cycle_zero(self, cash, expected):
+        # An int initial_cash starts every firm on its float, as a float
+        # initial_cash of the same value would.
         world = make_world(seed=3, n_firms=4, n_markets=2, initial_cash=cash)
         text = _trace_text(world)
         assert text == _fielded_rows(world)
-        assert {line.split(",")[5] for line in text.splitlines()} == {str(cash)}
+        assert text == _trace_text(
+            make_world(seed=3, n_firms=4, n_markets=2, initial_cash=float(cash))
+        )
+        assert {line.split(",")[5] for line in text.splitlines()} == {expected}
 
     def test_bundle_text_follows_in_place_trades(self):
         world = make_world(seed=4, n_firms=4, n_markets=2)
@@ -722,7 +780,7 @@ class TestWholeRunInvariants:
                 if firm.strategy is Strategy.RBV and firm.market is not None:
                     assert rbv_attach.setdefault(firm.id, firm.market) == firm.market
             # occupant counters equal a from-scratch recount
-            recount = world.recount_occupants()
+            recount = recount_occupants(world)
             assert all(m.occupants == recount[m.id] for m in world.markets)
         # strategy tags never mutate
         assert [f.strategy for f in world.firms] == tags
@@ -778,7 +836,7 @@ class TestRandomConfigInvariants:
                 assert math.isfinite(firm.total_perf)
             assert all(m.share_value > 0.0 for m in world.markets)
             assert min(world.sfm.prices) > 0.0
-            recount = world.recount_occupants()
+            recount = recount_occupants(world)
             assert all(m.occupants == recount[m.id] for m in world.markets)
             for base, now in zip(base_totals, _resource_totals(world)):
                 assert now == pytest.approx(base, rel=1e-9, abs=1e-9)

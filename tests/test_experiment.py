@@ -214,9 +214,14 @@ class TestRunBatch:
             BatchConfig(parallelism=experiment.MAX_PARALLELISM + 1).validate()
         BatchConfig(parallelism=experiment.MAX_PARALLELISM).validate()
 
-    def test_pool_starts_at_most_one_worker_per_run(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "n_runs,pools", [(3, []), (10, [3])], ids=["one-chunk-serial", "three-chunks"]
+    )
+    def test_pool_starts_at_most_one_worker_per_chunk(self, monkeypatch, n_runs, pools):
         # A stub executor records the pool size and runs the tasks in this
-        # process, so no worker process starts.
+        # process, so no worker process starts. Runs go out in chunks of 4:
+        # 3 runs are one chunk, run serially with no pool, and 10 runs are
+        # three chunks for three workers.
         sizes = []
 
         class RecordingPool:
@@ -233,7 +238,7 @@ class TestRunBatch:
                 return map(fn, tasks)
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-        batch = BatchConfig(n_runs=3, base_seed=2, sim=small_sim(), parallelism=8)
+        batch = BatchConfig(n_runs=n_runs, base_seed=2, sim=small_sim(), parallelism=8)
         summaries, _ = run_batch(batch)
-        assert sizes == [3]
-        assert [s.run_id for s in summaries] == [0, 1, 2]
+        assert sizes == pools
+        assert [s.run_id for s in summaries] == list(range(n_runs))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from strategem.metrics import (
     RbvProfile,
     classify_rbv,
-    instant_roa,
     relative_diff,
     top_k_snapshot,
 )
@@ -21,25 +20,6 @@ def make_firm(fid, strategy, total_perf=0.0, market=None, alive=True):
     firm.market = market
     firm.alive = alive
     return firm
-
-
-class TestInstantRoa:
-    def test_direct_division(self):
-        assert instant_roa(6.0, 12.0) == 0.5
-
-    def test_zero_profit(self):
-        assert instant_roa(0.0, 100.0) == 0.0
-
-    def test_negative_profit(self):
-        assert instant_roa(-3.0, 10.0) == pytest.approx(-0.3)
-
-    def test_zero_assets_convention(self):
-        assert instant_roa(5.0, 0.0) == 0.0
-
-    def test_negative_assets_give_zero(self):
-        # A firm whose assets fall below zero earns no ROA that cycle (and
-        # dies in it), as with zero assets.
-        assert instant_roa(1.0, -1.0) == 0.0
 
 
 class TestRelativeDiff:

@@ -27,12 +27,6 @@ class TestResourceBundle:
         with pytest.raises(ValueError):
             ResourceBundle(0.0, 0.0, -0.5)
 
-    def test_dominates(self):
-        assert ResourceBundle(5, 5, 5).dominates(ResourceBundle(3, 3, 3))
-        assert not ResourceBundle(5, 2, 5).dominates(ResourceBundle(3, 3, 3))
-        # exact equality counts as meeting the barrier
-        assert ResourceBundle(3, 3, 3).dominates(ResourceBundle(3, 3, 3))
-
 
 class TestBundleValue:
     def test_zero_bundle(self):
