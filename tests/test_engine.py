@@ -424,6 +424,52 @@ class TestStepCycle:
             assert firm.total_perf == 0.0
             assert not firm.alive
 
+    @pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no-profit", "loss"])
+    def test_an_idle_firm_reads_its_profit_over_its_cash(self, rate):
+        # Both firms are priced out of the 300-unit barrier, hold no bundle
+        # and sell no output, so they earn nothing and pay only maintenance:
+        # profit is -rate * 100, assets are the cash left, and the ROA is
+        # their quotient, 0.0 with no maintenance and negative with it.
+        world = _controlled_world(
+            barrier_sum_range=(300.0, 300.0),
+            initial_price=1.0,
+            maintenance_rate=rate,
+            output_fraction=0.0,
+        )
+        world.step_cycle()
+        for firm in world.firms:
+            assert firm.market is None
+            assert firm.revenue == 0.0
+            assert firm.profit == -rate * 100.0
+            assert firm.cash == 100.0 - rate * 100.0
+            assert firm.instant_perf == firm.profit / firm.cash
+            assert firm.total_perf == firm.instant_perf
+            assert firm.alive
+        assert (world.firms[0].instant_perf < 0.0) == (rate > 0.0)
+
+    def test_negative_assets_read_zero_roa_and_die_that_cycle(self):
+        # Firms that start 50 in debt, with no bundle and no way to earn,
+        # settle at negative assets. Maintenance on negative cash is a
+        # credit, so profit is 5 and assets are -45: the ROA reads 0.0, not
+        # their quotient, and the firm dies at once, inside the grace.
+        world = _controlled_world(
+            barrier_sum_range=(300.0, 300.0),
+            initial_price=1.0,
+            maintenance_rate=0.1,
+            output_fraction=0.0,
+        )
+        assert world.config.bankruptcy_grace > 1
+        for firm in world.firms:
+            firm.cash = -50.0
+        world.step_cycle()
+        for firm in world.firms:
+            assert firm.profit == 5.0
+            assert total_asset_value(firm, world.sfm) == -45.0
+            assert firm.instant_perf == 0.0
+            assert firm.total_perf == 0.0
+            assert not firm.alive
+        assert world.markets[0].occupants == 0
+
     def test_a_full_purchase_joins_when_its_sum_rounds_short(self):
         # At this scale the bought bundle r + (b - r) lands 1.9e-06 below the
         # barrier b, past any absolute tolerance of 1e-9. The firm paid the
