@@ -34,8 +34,8 @@ def main():
         world.step_cycle()
         if cycle in config.checkpoint_cycles:
             snap = top_k_snapshot(world.firms)
-            print(f"\n=== cycle {cycle}: {snap.io_in_top10} IO / "
-                  f"{snap.rbv_in_top10} RBV in the top 10 ===")
+            print(f"\n=== cycle {cycle}: {snap['io_in_top10']} IO / "
+                  f"{snap['rbv_in_top10']} RBV in the top 10 ===")
             leaderboard(world)
 
     print("\n=== final market map ===")

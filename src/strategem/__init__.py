@@ -20,7 +20,6 @@ from .strategy import (
 from .engine import World, sfm_buy, sfm_sell
 from .metrics import (
     RbvProfile,
-    StrategySnapshot,
     classify_rbv,
     relative_diff,
     top_k_snapshot,
@@ -39,7 +38,6 @@ __all__ = [
     "SfmState",
     "SimConfig",
     "Strategy",
-    "StrategySnapshot",
     "World",
     "bundle_value",
     "classify_rbv",

@@ -1,5 +1,9 @@
 """Batch runner: many independent seeded runs, summarized and aggregated.
 
+A run's summary holds the row that `metrics.checkpoint_stats` returns at
+each checkpoint cycle; this module writes those rows to runs.csv, reads
+them back, and aggregates them into aggregate.csv.
+
 Each run owns a private RNG stream derived from (base_seed, run_id), so
 inserting or removing other runs never changes its outcome, and worker
 count affects wall clock only, never output bytes.
@@ -9,32 +13,17 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from .engine import World, format_field, write_trace_header, write_trace_rows
-from .metrics import RbvProfile, StrategySnapshot, classify_rbv, relative_diff, top_k_snapshot
-from .model import SimConfig, Strategy
-
-# Relative-difference columns -> the (IO, RBV) columns they compare. Their
-# signs feed the "Nb of cases where IO > RBV" tallies.
-RELATIVE_DIFF_FIELDS = {
-    "rd_best": ("best_io", "best_rbv"),
-    "rd_avg5": ("avg5_io", "avg5_rbv"),
-    "rd_avg10": ("avg10_io", "avg10_rbv"),
-    "rd_all": ("avg_all_io", "avg_all_rbv"),
-}
-
-# RBV profile -> the suffix of its n_* (count) and perf_* (mean total_perf) columns.
-PROFILE_KEYS = {
-    RbvProfile.WALLFLOWER: "wallflower",
-    RbvProfile.CONVENIENCE_MARRIAGE: "convenience",
-    RbvProfile.SOUL_MATE: "soul_mate",
-}
+from .metrics import CHECKPOINT_FIELDS, RELATIVE_DIFF_FIELDS, checkpoint_stats
+from .model import SimConfig
 
 # The most worker processes a batch may ask for, on any host. Criterion 1
 # runs 8.
@@ -43,14 +32,6 @@ MAX_PARALLELISM = 64
 # Runs a pool worker takes at a time. A batch starts at most one worker per
 # chunk, since a worker beyond that would get no chunk.
 CHUNKSIZE = 4
-
-# Per-checkpoint columns of a run summary, in CSV order.
-CHECKPOINT_FIELDS = (
-    tuple(f.name for f in fields(StrategySnapshot))
-    + tuple(RELATIVE_DIFF_FIELDS)
-    + tuple(f"n_{key}" for key in PROFILE_KEYS.values())
-    + tuple(f"perf_{key}" for key in PROFILE_KEYS.values())
-)
 
 
 def _spread(reduce):
@@ -103,6 +84,9 @@ class BatchConfig:
     parallelism: int = 1
 
     def validate(self) -> None:
+        for name in ("n_runs", "base_seed", "parallelism"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         if self.base_seed < 0:
@@ -116,36 +100,6 @@ def derive_seed(base_seed: int, run_id: int) -> int:
     """Stable per-run seed: the first 64-bit word that the seed sequence
     (base_seed, run_id) generates. Part of the external contract."""
     return int(np.random.SeedSequence([base_seed, run_id]).generate_state(1, np.uint64)[0])
-
-
-def _checkpoint_stats(world: World) -> dict[str, float]:
-    firms = world.firms
-    snap = top_k_snapshot(firms)
-    stats: dict[str, float] = {f.name: getattr(snap, f.name) for f in fields(snap)}
-    stats["best_is_rbv"] = 1.0 if snap.best_is_rbv else 0.0
-    for name, (io_col, rbv_col) in RELATIVE_DIFF_FIELDS.items():
-        io_v, rbv_v = stats[io_col], stats[rbv_col]
-        stats[name] = relative_diff(io_v, rbv_v) if rbv_v != 0 else math.nan
-
-    # Each RBV firm is classified against its own market's alive IO firms,
-    # in firm order, which is all of `firms` that classify_rbv's filter keeps.
-    io_by_market: dict[int, list] = {}
-    for firm in firms:
-        if firm.alive and firm.market is not None and firm.strategy is Strategy.IO:
-            io_by_market.setdefault(firm.market, []).append(firm)
-    counts = {p: 0 for p in RbvProfile}
-    perf_sums = {p: 0.0 for p in RbvProfile}
-    for firm in firms:
-        if firm.strategy is not Strategy.RBV:
-            continue
-        profile = classify_rbv(firm, io_by_market.get(firm.market, ()))
-        counts[profile] += 1
-        perf_sums[profile] += firm.total_perf
-    for profile, key in PROFILE_KEYS.items():
-        n = counts[profile]
-        stats[f"n_{key}"] = n
-        stats[f"perf_{key}"] = perf_sums[profile] / n if n else math.nan
-    return stats
 
 
 def run_one(
@@ -168,7 +122,7 @@ def run_one(
         write_trace_rows(trace_out, world)
 
     if config.n_cycles == 0:
-        summary.checkpoints[0] = _checkpoint_stats(world)
+        summary.checkpoints[0] = checkpoint_stats(world.firms)
         return summary
 
     checkpoints = set(config.checkpoint_cycles)
@@ -177,7 +131,7 @@ def run_one(
         if trace_out is not None:
             write_trace_rows(trace_out, world)
         if cycle in checkpoints:
-            summary.checkpoints[cycle] = _checkpoint_stats(world)
+            summary.checkpoints[cycle] = checkpoint_stats(world.firms)
     return summary
 
 
@@ -211,8 +165,10 @@ def run_batch(
     same double (see `aggregate_summaries`).
     """
     batch.validate()
+    if trace and out_dir is None:
+        raise ValueError("trace=True needs an out_dir to write the traces into")
     trace_dir = None
-    if trace and out_dir is not None:
+    if trace:
         trace_dir = os.path.join(out_dir, "traces")
         os.makedirs(trace_dir, exist_ok=True)
     tasks = [(i, batch.base_seed, batch.sim, trace_dir) for i in range(batch.n_runs)]

@@ -1,4 +1,5 @@
-"""Leaderboard statistics and the RBV profile classifier.
+"""Leaderboard statistics, the RBV profile classifier, and the checkpoint
+row that runs.csv records.
 
 Firms rank by `total_perf`, the running sum of the instant ROA that the
 engine's settlement pass computes (its one definition). Rankings include
@@ -8,7 +9,7 @@ meant to feel the drag of firms that never got going.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from enum import Enum
 from typing import Sequence
 
@@ -16,34 +17,37 @@ from .model import Firm, Strategy
 
 
 class RbvProfile(Enum):
+    """An RBV firm's fate; the value is the suffix of its checkpoint columns."""
+
     WALLFLOWER = "wallflower"
-    CONVENIENCE_MARRIAGE = "convenience_marriage"
+    CONVENIENCE_MARRIAGE = "convenience"
     SOUL_MATE = "soul_mate"
 
 
-@dataclass
-class StrategySnapshot:
-    """Leaderboard statistics for one checkpoint cycle."""
+# Relative-difference columns -> the (IO, RBV) columns they compare. Their
+# signs feed the "Nb of cases where IO > RBV" tallies.
+RELATIVE_DIFF_FIELDS = {
+    "rd_best": ("best_io", "best_rbv"),
+    "rd_avg5": ("avg5_io", "avg5_rbv"),
+    "rd_avg10": ("avg10_io", "avg10_rbv"),
+    "rd_all": ("avg_all_io", "avg_all_rbv"),
+}
 
-    io_in_top10: int
-    rbv_in_top10: int
-    best_io: float
-    best_rbv: float
-    # Whether the top-ranked firm of all (ties toward the lower id) is RBV.
-    best_is_rbv: bool
-    avg5_io: float
-    avg5_rbv: float
-    avg10_io: float
-    avg10_rbv: float
-    avg_all_io: float
-    avg_all_rbv: float
+# The columns of `checkpoint_stats`, in CSV order: the leaderboard of
+# `top_k_snapshot`, the relative differences, then the count (n_*) and mean
+# total performance (perf_*) of each RBV profile.
+CHECKPOINT_FIELDS = (
+    "io_in_top10", "rbv_in_top10", "best_io", "best_rbv", "best_is_rbv",
+    "avg5_io", "avg5_rbv", "avg10_io", "avg10_rbv", "avg_all_io", "avg_all_rbv",
+    *RELATIVE_DIFF_FIELDS,
+    *(f"n_{profile.value}" for profile in RbvProfile),
+    *(f"perf_{profile.value}" for profile in RbvProfile),
+)
 
 
 def relative_diff(io_value: float, rbv_value: float) -> float:
-    """(IO - RBV) / RBV. The caller must filter out a zero RBV value."""
-    if rbv_value == 0:
-        raise ZeroDivisionError("relative_diff undefined for rbv_value == 0")
-    return (io_value - rbv_value) / rbv_value
+    """(IO - RBV) / RBV; NaN (a blank CSV field) for a zero RBV value."""
+    return (io_value - rbv_value) / rbv_value if rbv_value != 0 else math.nan
 
 
 def _ranked(firms: Sequence[Firm]) -> list[Firm]:
@@ -52,14 +56,20 @@ def _ranked(firms: Sequence[Firm]) -> list[Firm]:
 
 
 def _avg(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    """Mean, added left to right: builtin `sum()` of floats compensates from
+    Python 3.12 on, so it would give other bytes on other versions."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else 0.0
 
 
-def top_k_snapshot(firms: Sequence[Firm]) -> StrategySnapshot:
+def top_k_snapshot(firms: Sequence[Firm]) -> dict[str, float]:
     """Top-10 counts and per-strategy best/top-5/top-10/overall means.
 
     All firms rank, dead or alive. When a strategy fields fewer than 5 or
-    10 firms the averages use whatever is available.
+    10 firms the averages use whatever is available. `best_is_rbv` is 1.0
+    when the top-ranked firm of all (ties toward the lower id) is RBV.
     """
     ranking = _ranked(firms)
     top10 = ranking[:10]
@@ -67,19 +77,19 @@ def top_k_snapshot(firms: Sequence[Firm]) -> StrategySnapshot:
 
     io_perfs = [f.total_perf for f in ranking if f.strategy is Strategy.IO]
     rbv_perfs = [f.total_perf for f in ranking if f.strategy is Strategy.RBV]
-    return StrategySnapshot(
-        io_in_top10=io_count,
-        rbv_in_top10=len(top10) - io_count,
-        best_io=io_perfs[0] if io_perfs else 0.0,
-        best_rbv=rbv_perfs[0] if rbv_perfs else 0.0,
-        best_is_rbv=ranking[0].strategy is Strategy.RBV,
-        avg5_io=_avg(io_perfs[:5]),
-        avg5_rbv=_avg(rbv_perfs[:5]),
-        avg10_io=_avg(io_perfs[:10]),
-        avg10_rbv=_avg(rbv_perfs[:10]),
-        avg_all_io=_avg(io_perfs),
-        avg_all_rbv=_avg(rbv_perfs),
-    )
+    return {
+        "io_in_top10": io_count,
+        "rbv_in_top10": len(top10) - io_count,
+        "best_io": io_perfs[0] if io_perfs else 0.0,
+        "best_rbv": rbv_perfs[0] if rbv_perfs else 0.0,
+        "best_is_rbv": 1.0 if ranking[0].strategy is Strategy.RBV else 0.0,
+        "avg5_io": _avg(io_perfs[:5]),
+        "avg5_rbv": _avg(rbv_perfs[:5]),
+        "avg10_io": _avg(io_perfs[:10]),
+        "avg10_rbv": _avg(rbv_perfs[:10]),
+        "avg_all_io": _avg(io_perfs),
+        "avg_all_rbv": _avg(rbv_perfs),
+    }
 
 
 def classify_rbv(firm: Firm, firms: Sequence[Firm]) -> RbvProfile:
@@ -104,3 +114,29 @@ def classify_rbv(firm: Firm, firms: Sequence[Firm]) -> RbvProfile:
     if firm.total_perf > _avg(io_perfs):
         return RbvProfile.SOUL_MATE
     return RbvProfile.CONVENIENCE_MARRIAGE
+
+
+def checkpoint_stats(firms: Sequence[Firm]) -> dict[str, float]:
+    """One run's CHECKPOINT_FIELDS at a checkpoint cycle. A profile that no
+    RBV firm falls into reads a NaN (blank) mean."""
+    stats = top_k_snapshot(firms)
+    for name, (io_col, rbv_col) in RELATIVE_DIFF_FIELDS.items():
+        stats[name] = relative_diff(stats[io_col], stats[rbv_col])
+
+    # Each RBV firm is classified against its own market's alive IO firms,
+    # in firm order, which is all of `firms` that classify_rbv's filter keeps.
+    io_by_market: dict[int, list[Firm]] = {}
+    for firm in firms:
+        if firm.alive and firm.market is not None and firm.strategy is Strategy.IO:
+            io_by_market.setdefault(firm.market, []).append(firm)
+    counts = dict.fromkeys(RbvProfile, 0)
+    perf_sums = dict.fromkeys(RbvProfile, 0.0)
+    for firm in firms:
+        if firm.strategy is Strategy.RBV:
+            profile = classify_rbv(firm, io_by_market.get(firm.market, ()))
+            counts[profile] += 1
+            perf_sums[profile] += firm.total_perf
+    for profile, n in counts.items():
+        stats[f"n_{profile.value}"] = n
+        stats[f"perf_{profile.value}"] = perf_sums[profile] / n if n else math.nan
+    return stats

@@ -8,6 +8,7 @@ plain value type safe to snapshot and compare.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -222,6 +223,9 @@ class SimConfig:
     literal_distance_sign: bool = False
 
     def validate(self) -> None:
+        for name in ("n_firms", "n_markets", "n_cycles", "bankruptcy_grace"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         # NaN passes every comparison below; an infinite stock is unlimited supply.
         for f in fields(self):
             value = getattr(self, f.name)

@@ -184,3 +184,17 @@ class TestNonFinite:
             world.step_cycle()
         for firm in world.firms:
             assert math.isfinite(firm.cash) and math.isfinite(firm.total_perf)
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize(
+        "make,name",
+        [(SimConfig, n) for n in ("n_firms", "n_markets", "n_cycles", "bankruptcy_grace")]
+        + [(BatchConfig, n) for n in ("n_runs", "base_seed", "parallelism")],
+        ids=lambda v: v if isinstance(v, str) else v.__name__,
+    )
+    def test_rejects_a_whole_float(self, make, name):
+        # The default as a float: only the type is wrong.
+        value = float(getattr(make(), name))
+        with pytest.raises(ValueError, match=name):
+            make(**{name: value}).validate()

@@ -60,7 +60,7 @@ class TestRunOne:
 
     @pytest.mark.parametrize("sim", [small_sim(n_cycles=0), small_sim()])
     def test_checkpoints_hold_exactly_the_csv_fields(self, sim):
-        # A StrategySnapshot field missing from CHECKPOINT_FIELDS would
+        # A top_k_snapshot column missing from CHECKPOINT_FIELDS would
         # otherwise drop out of runs.csv without an error.
         summary = run_one(derive_seed(0, 1), sim)
         assert summary.checkpoints
@@ -194,6 +194,14 @@ class TestRunBatch:
         assert calls == list(range(6))  # one simulation per run, trace included
         assert sorted(serial) == sorted(f"run_{i}.csv" for i in range(6))
         assert _traced_batch(tmp_path / "w2", workers=2) == serial
+
+    def test_trace_without_out_dir_raises_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(experiment, "run_one", no_run)
+        with pytest.raises(ValueError, match="out_dir"):
+            run_batch(BatchConfig(n_runs=2, sim=small_sim()), trace=True)
 
     def test_checkpoints_past_n_cycles_are_dropped(self, tmp_path):
         sim = small_sim(n_cycles=30, checkpoint_cycles=(20, 200))

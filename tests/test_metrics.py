@@ -1,12 +1,18 @@
-"""Performance measures, leaderboard snapshot, and RBV profile classifier."""
+"""Performance measures, leaderboard snapshot, RBV profile classifier, and
+the checkpoint row."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from strategem import metrics
 from strategem.metrics import (
+    CHECKPOINT_FIELDS,
     RbvProfile,
+    checkpoint_stats,
     classify_rbv,
     relative_diff,
     top_k_snapshot,
@@ -32,9 +38,8 @@ class TestRelativeDiff:
     def test_sign_convention(self):
         assert relative_diff(86.0, 100.0) == pytest.approx(-0.14)
 
-    def test_zero_denominator_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            relative_diff(1.0, 0.0)
+    def test_zero_rbv_value_reads_nan(self):
+        assert math.isnan(relative_diff(1.0, 0.0))
 
     @given(st.floats(0.1, 1e3), st.floats(0.1, 1e3), st.floats(0.1, 100))
     def test_scale_invariance(self, io_v, rbv_v, scale):
@@ -47,8 +52,8 @@ class TestTopKSnapshot:
     def test_one_sided_population(self):
         firms = [make_firm(i, Strategy.IO, total_perf=i) for i in range(10)]
         snap = top_k_snapshot(firms)
-        assert snap.io_in_top10 == 10
-        assert snap.rbv_in_top10 == 0
+        assert snap["io_in_top10"] == 10
+        assert snap["rbv_in_top10"] == 0
 
     def test_tiny_ranked_list(self):
         # Fewer than 10 firms: all of them are the top 10.
@@ -58,11 +63,11 @@ class TestTopKSnapshot:
             make_firm(2, Strategy.RBV, 2.0),
         ]
         snap = top_k_snapshot(firms)
-        assert snap.io_in_top10 == 2
-        assert snap.rbv_in_top10 == 1
-        assert snap.best_io == 3.0
-        assert snap.best_rbv == 2.0
-        assert not snap.best_is_rbv
+        assert snap["io_in_top10"] == 2
+        assert snap["rbv_in_top10"] == 1
+        assert snap["best_io"] == 3.0
+        assert snap["best_rbv"] == 2.0
+        assert snap["best_is_rbv"] == 0.0
 
     def test_counts_sum_to_k(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -71,7 +76,7 @@ class TestTopKSnapshot:
             for i in range(200)
         ]
         snap = top_k_snapshot(firms)
-        assert snap.io_in_top10 + snap.rbv_in_top10 == 10
+        assert snap["io_in_top10"] + snap["rbv_in_top10"] == 10
 
     def test_matches_brute_force_sort(self):
         rng = np.random.Generator(np.random.PCG64(6))
@@ -86,21 +91,32 @@ class TestTopKSnapshot:
         ]
         snap = top_k_snapshot(firms)
         ranked = sorted(firms, key=lambda f: (-f.total_perf, f.id))
-        assert snap.io_in_top10 == sum(
+        assert snap["io_in_top10"] == sum(
             1 for f in ranked[:10] if f.strategy is Strategy.IO
         )
-        assert snap.best_is_rbv == (ranked[0].strategy is Strategy.RBV)
+        assert snap["best_is_rbv"] == (1.0 if ranked[0].strategy is Strategy.RBV else 0.0)
         io = sorted(
             (f.total_perf for f in firms if f.strategy is Strategy.IO), reverse=True
         )
         rbv = sorted(
             (f.total_perf for f in firms if f.strategy is Strategy.RBV), reverse=True
         )
-        assert snap.best_io == io[0]
-        assert snap.best_rbv == rbv[0]
-        assert snap.avg5_io == pytest.approx(sum(io[:5]) / 5)
-        assert snap.avg10_rbv == pytest.approx(sum(rbv[:10]) / 10)
-        assert snap.avg_all_io == pytest.approx(sum(io) / len(io))
+        assert snap["best_io"] == io[0]
+        assert snap["best_rbv"] == rbv[0]
+        assert snap["avg5_io"] == pytest.approx(sum(io[:5]) / 5)
+        assert snap["avg10_rbv"] == pytest.approx(sum(rbv[:10]) / 10)
+        assert snap["avg_all_io"] == pytest.approx(sum(io) / len(io))
+
+    def test_averages_add_left_to_right(self, monkeypatch):
+        # Compensated summation, which builtin sum() of floats does from
+        # Python 3.12 on, reads 1/3 here; adding left to right reads 0.
+        monkeypatch.setattr(metrics, "sum", math.fsum, raising=False)
+        firms = [
+            make_firm(0, Strategy.IO, 1e16),
+            make_firm(1, Strategy.IO, 1.0),
+            make_firm(2, Strategy.IO, -1e16),
+        ]
+        assert top_k_snapshot(firms)["avg_all_io"] == 0.0
 
 
 class TestClassifyRbv:
@@ -151,3 +167,34 @@ class TestClassifyRbv:
         for firm in firms:
             if firm.strategy is Strategy.RBV:
                 assert classify_rbv(firm, firms) in RbvProfile
+
+
+class TestCheckpointStats:
+    def test_zero_rbv_values_and_empty_profiles_read_nan(self):
+        firms = [
+            make_firm(0, Strategy.IO, 2.0, market=1),
+            make_firm(1, Strategy.RBV, 0.0, market=None),
+        ]
+        stats = checkpoint_stats(firms)
+        assert sorted(stats) == sorted(CHECKPOINT_FIELDS)
+        assert stats["best_rbv"] == 0.0
+        for name in ("rd_best", "rd_avg5", "rd_avg10", "rd_all"):
+            assert math.isnan(stats[name])
+        assert (stats["n_wallflower"], stats["perf_wallflower"]) == (1, 0.0)
+        assert stats["n_convenience"] == stats["n_soul_mate"] == 0
+        assert math.isnan(stats["perf_convenience"])
+        assert math.isnan(stats["perf_soul_mate"])
+
+    def test_profiles_are_classified_against_their_market(self):
+        firms = [
+            make_firm(0, Strategy.IO, 1.0, market=1),
+            make_firm(1, Strategy.RBV, 3.0, market=1),  # above its rival: soul mate
+            make_firm(2, Strategy.IO, 9.0, market=2),
+            make_firm(3, Strategy.RBV, 4.0, market=2),  # below its rival: convenience
+            make_firm(4, Strategy.RBV, 5.0, market=3),  # no IO rival: convenience
+        ]
+        stats = checkpoint_stats(firms)
+        assert stats["n_soul_mate"] == 1 and stats["perf_soul_mate"] == 3.0
+        assert stats["n_convenience"] == 2 and stats["perf_convenience"] == 4.5
+        assert stats["n_wallflower"] == 0
+        assert stats["rd_best"] == (9.0 - 5.0) / 5.0
