@@ -1,11 +1,11 @@
 """Agent-based simulator of IO vs. RBV market-entry strategies."""
 
+from .config import BatchConfig, SimConfig
 from .model import (
     Firm,
     Market,
     ResourceBundle,
     SfmState,
-    SimConfig,
     Strategy,
     bundle_value,
     total_asset_value,
@@ -24,7 +24,7 @@ from .metrics import (
     relative_diff,
     top_k_snapshot,
 )
-from .experiment import BatchConfig, RunSummary, derive_seed, run_batch, run_one
+from .experiment import RunSummary, derive_seed, run_batch, run_one
 
 __all__ = [
     "Action",

@@ -1,24 +1,165 @@
-"""Flat INI config files for simulation and batch settings.
+"""The run configuration (`SimConfig`, `BatchConfig` and their bounds) and
+its flat INI form: [sim] and [batch] sections keyed by the field names.
 
-Two sections, [sim] and [batch], whose keys mirror the SimConfig and
-BatchConfig field names. Missing keys keep their defaults. Every value is
-parsed by its field's declared type, so `none` is accepted only where the
-type admits None and a tuple must have its declared length. A config built
-from INI text and overrides therefore dumps to text that loads back to a
-config with the same dump.
+`SECTIONS` holds each field's declared type and drives parsing, dumping
+and `validate()`. A value is parsed by its type (`none` only where the
+type admits None, a tuple only at its declared length), and `validate()`
+accepts a value only if its own INI round trip gives it back unchanged,
+so a valid config dumps to text that loads back to an equal config.
+Missing keys keep their defaults. This module imports nothing else from
+the package.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import typing
-
-from .experiment import BatchConfig
-from .model import SimConfig
+from dataclasses import dataclass, field, fields
 
 
 class ConfigError(ValueError):
     """Malformed config file or override."""
+
+
+# The largest market size, share value, factor price, initial cash, bundle
+# or barrier range end, and the largest |price_alpha|, |value_noise| or
+# |output_fraction|, that `SimConfig.validate()` accepts. Past them money
+# and prices can overflow to inf, and ROA to NaN, within a run; with every
+# one of them at its bound a 200-cycle run peaks near 1e216 (tests/test_engine.py).
+MAX_SCALE = 1e100
+MAX_RATE = 1e6
+
+# The most worker processes a batch may ask for, on any host. Criterion 1
+# runs 8.
+MAX_PARALLELISM = 64
+
+
+@dataclass
+class SimConfig:
+    """All tunables for a single simulation run.
+
+    Defaults follow the reference scenario: 200 firms (half IO, half RBV),
+    20 markets of size 10/100/1000, 200 cycles, checkpoints at 20 and 200.
+    """
+
+    n_firms: int = 200
+    n_markets: int = 20
+    n_cycles: int = 200
+    market_size_choices: tuple[int, ...] = (10, 100, 1000)
+    initial_cash: float = 1000.0
+    resource_init_range: tuple[float, float] = (0.0, 100.0)
+    barrier_range: tuple[float, float] = (0.0, 100.0)
+    # When set, barriers are drawn as a uniform random mix (simplex
+    # direction) scaled to a total drawn from this interval, so every
+    # market demands a comparable resource budget but a different blend.
+    barrier_sum_range: tuple[float, float] | None = (220.0, 350.0)
+    # Same scheme for firms' initial bundles: specialists with diverse
+    # resource mixes rather than bundles clustered around the cube center.
+    resource_sum_range: tuple[float, float] | None = (60.0, 160.0)
+    # Dirichlet concentration for the simplex mixes above. Values below 1
+    # push draws toward the corners (stronger specialisation), values
+    # above 1 pull them toward an even blend.
+    barrier_mix_alpha: float = 1.0
+    resource_mix_alpha: float = 0.55
+    noise_amplitude: float = 0.3
+    maintenance_rate: float = 0.001
+    checkpoint_cycles: tuple[int, ...] = (20, 200)
+
+    # Market value dynamics
+    share_value_range: tuple[float, float] = (0.5, 2.0)
+    crowding: float = 0.15
+    value_noise: float = 0.2
+    value_floor: float = 0.01
+
+    # Strategic factor market
+    initial_price: float = 0.01
+    initial_stock: float = 1e6
+    price_alpha: float = 0.2
+    price_floor: float = 0.01
+
+    # RBV action valuation and survival
+    output_fraction: float = 0.05
+    bankruptcy_grace: int = 10
+
+    # Restores the literal sign max(r - R, 0) in the entry-distance formula
+    # for comparison runs; the default orientation is the shortfall max(R - r, 0).
+    literal_distance_sign: bool = False
+
+    def validate(self) -> None:
+        # NaN passes every comparison below; an infinite stock is unlimited supply.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v) and (v != math.inf or f.name != "initial_stock"):
+                    raise ValueError(f"{f.name} must be finite, not {v}")
+        _check_types(self, "sim")
+        if self.n_firms < 1 or self.n_markets < 1:
+            raise ValueError("n_firms and n_markets must be >= 1")
+        if self.n_firms % 2 != 0:
+            raise ValueError("n_firms must be even (firms split 50/50 IO/RBV)")
+        if self.n_cycles < 0:
+            raise ValueError("n_cycles must be >= 0")
+        if any(c < 1 for c in self.checkpoint_cycles):
+            raise ValueError("checkpoint_cycles must be >= 1")
+        if not self.market_size_choices:
+            raise ValueError("market_size_choices must be non-empty")
+        if any(s < 1 for s in self.market_size_choices):
+            raise ValueError("market sizes must be >= 1")
+        if not (0.0 <= self.noise_amplitude < 1.0):
+            raise ValueError("noise_amplitude must be in [0, 1)")
+        if not (0.0 <= self.maintenance_rate < 1.0):
+            raise ValueError("maintenance_rate must be in [0, 1)")
+        for name in ("resource_init_range", "barrier_range", "barrier_sum_range", "resource_sum_range"):
+            interval = getattr(self, name)
+            if interval is not None and (interval[0] < 0 or interval[1] < interval[0]):
+                raise ValueError(f"{name} must be a non-negative interval")
+        if self.barrier_mix_alpha <= 0 or self.resource_mix_alpha <= 0:
+            raise ValueError("mix alphas must be > 0")
+        if self.share_value_range[0] <= 0 or self.share_value_range[1] < self.share_value_range[0]:
+            raise ValueError("share_value_range must be a positive interval")
+        if self.initial_cash < 0:
+            raise ValueError("initial_cash must be >= 0")
+        if self.bankruptcy_grace < 1:
+            raise ValueError("bankruptcy_grace must be >= 1")
+        # Below these bounds a run divides by zero (1 + crowding * occupants),
+        # drives share values or factor prices to zero or below, or fails
+        # while the world is built.
+        if self.crowding < 0:
+            raise ValueError("crowding must be >= 0")
+        if self.value_floor <= 0:
+            raise ValueError("value_floor must be > 0")
+        if self.initial_price <= 0 or self.price_floor <= 0:
+            raise ValueError("initial_price and price_floor must be > 0")
+        if self.initial_stock < 0:
+            raise ValueError("initial_stock must be >= 0")
+        for name in ("market_size_choices", "share_value_range", "value_floor",
+                     "initial_price", "price_floor", "initial_cash", "resource_init_range",
+                     "barrier_range", "resource_sum_range", "barrier_sum_range"):
+            value = getattr(self, name)
+            if value is not None and max(value if isinstance(value, tuple) else (value,)) > MAX_SCALE:
+                raise ValueError(f"{name} must be <= {MAX_SCALE:g}")
+        for name in ("price_alpha", "value_noise", "output_fraction"):
+            if abs(getattr(self, name)) > MAX_RATE:
+                raise ValueError(f"{name} must be within [-{MAX_RATE:g}, {MAX_RATE:g}]")
+
+
+@dataclass
+class BatchConfig:
+    n_runs: int = 1008
+    base_seed: int = 0
+    sim: SimConfig = field(default_factory=SimConfig)
+    parallelism: int = 1
+
+    def validate(self) -> None:
+        _check_types(self, "batch")
+        if self.n_runs < 1:
+            raise ValueError("n_runs must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
+        if not 1 <= self.parallelism <= MAX_PARALLELISM:
+            raise ValueError(f"parallelism must be within [1, {MAX_PARALLELISM}]")
+        self.sim.validate()
 
 
 # Section -> its keys' declared types, in field order. `BatchConfig.sim` is
@@ -74,8 +215,22 @@ def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ", ".join(_format_value(v) for v in value)
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr names its type
     return str(value)
+
+
+def _check_types(obj, section: str) -> None:
+    """Reject a field whose INI round trip changes it: a float or bool for
+    an int, a string, a list for a tuple, a tuple of another length."""
+    for name, kind in SECTIONS[section].items():
+        value = getattr(obj, name)
+        try:
+            same = _parse_value(_format_value(value), kind) == value
+        except ValueError:
+            same = False
+        if not same:
+            shown = kind.__name__ if isinstance(kind, type) else kind
+            raise ValueError(f"{name} must be of type {shown}, not {value!r}")
 
 
 def _section_object(batch: BatchConfig, section: str):

@@ -86,12 +86,12 @@ from typing import IO
 
 import numpy as np
 
+from .config import SimConfig
 from .model import (
     Firm,
     Market,
     ResourceBundle,
     SfmState,
-    SimConfig,
     Strategy,
     bundle_value,
     total_asset_value,

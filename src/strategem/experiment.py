@@ -1,8 +1,9 @@
 """Batch runner: many independent seeded runs, summarized and aggregated.
 
-A run's summary holds the row that `metrics.checkpoint_stats` returns at
-each checkpoint cycle; this module writes those rows to runs.csv, reads
-them back, and aggregates them into aggregate.csv.
+`run_batch` validates and runs a `config.BatchConfig`. A run's summary
+holds the row that `metrics.checkpoint_stats` returns at each checkpoint
+cycle; this module writes those rows to runs.csv, reads them back, and
+aggregates them into aggregate.csv.
 
 Each run owns a private RNG stream derived from (base_seed, run_id), so
 inserting or removing other runs never changes its outcome, and worker
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -21,13 +21,9 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
+from .config import BatchConfig, SimConfig
 from .engine import World, format_field, write_trace_header, write_trace_rows
 from .metrics import CHECKPOINT_FIELDS, RELATIVE_DIFF_FIELDS, checkpoint_stats
-from .model import SimConfig
-
-# The most worker processes a batch may ask for, on any host. Criterion 1
-# runs 8.
-MAX_PARALLELISM = 64
 
 # Runs a pool worker takes at a time. A batch starts at most one worker per
 # chunk, since a worker beyond that would get no chunk.
@@ -74,26 +70,6 @@ class RunSummary:
     run_id: int
     seed: int
     checkpoints: dict[int, dict[str, float]] = field(default_factory=dict)
-
-
-@dataclass
-class BatchConfig:
-    n_runs: int = 1008
-    base_seed: int = 0
-    sim: SimConfig = field(default_factory=SimConfig)
-    parallelism: int = 1
-
-    def validate(self) -> None:
-        for name in ("n_runs", "base_seed", "parallelism"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be a non-negative 64-bit integer")
-        if not 1 <= self.parallelism <= MAX_PARALLELISM:
-            raise ValueError(f"parallelism must be within [1, {MAX_PARALLELISM}]")
-        self.sim.validate()
 
 
 def derive_seed(base_seed: int, run_id: int) -> int:

@@ -84,20 +84,23 @@ def io_choose_market(
     return MarketChoice(j, scores.item(j), ENTER)
 
 
+def _positive_gap(need: ResourceBundle, have: ResourceBundle) -> tuple[float, float, float]:
+    """The per-type positive parts (red, green, blue) of `need - have`, each
+    `d if d >= 0.0 else 0.0`, so a `-0.0` difference stays `-0.0`."""
+    dr = need.red - have.red
+    dg = need.green - have.green
+    db = need.blue - have.blue
+    return (dr if dr >= 0.0 else 0.0, dg if dg >= 0.0 else 0.0, db if db >= 0.0 else 0.0)
+
+
 def barrier_deficit(firm: Firm, market: Market) -> tuple[float, float, float]:
     """Per-type amounts (red, green, blue) by which the firm's bundle falls
     short of the market barrier; zero where the barrier is already met.
 
-    Each amount is the positive part `d if d >= 0.0 else 0.0` of
-    `d = barrier - holding`, so a `-0.0` difference stays `-0.0`.
-    `World.step_cycle` restates this form inline in its entry block.
+    The amounts are `_positive_gap(barrier, holding)`; `World.step_cycle`
+    restates it inline in its entry block.
     """
-    res = firm.resources
-    barrier = market.barrier
-    dr = barrier.red - res.red
-    dg = barrier.green - res.green
-    db = barrier.blue - res.blue
-    return (dr if dr >= 0.0 else 0.0, dg if dg >= 0.0 else 0.0, db if db >= 0.0 else 0.0)
+    return _positive_gap(market.barrier, firm.resources)
 
 
 def resource_shortfall(firm: Firm, market: Market, literal_sign: bool) -> float:
@@ -108,16 +111,9 @@ def resource_shortfall(firm: Firm, market: Market, literal_sign: bool) -> float:
     holding - barrier, kept only for comparison runs.
     """
     if literal_sign:
-        res = firm.resources
-        barrier = market.barrier
-        dr = res.red - barrier.red
-        dr = dr if dr >= 0.0 else 0.0
-        dg = res.green - barrier.green
-        dg = dg if dg >= 0.0 else 0.0
-        db = res.blue - barrier.blue
-        db = db if db >= 0.0 else 0.0
+        dr, dg, db = _positive_gap(firm.resources, market.barrier)
     else:
-        dr, dg, db = barrier_deficit(firm, market)
+        dr, dg, db = _positive_gap(market.barrier, firm.resources)
     return math.sqrt(dr * dr + dg * dg + db * db)
 
 

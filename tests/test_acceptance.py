@@ -14,8 +14,9 @@ from scipy.stats import binomtest
 
 import strategem.engine as engine
 from strategem.engine import World, sfm_buy
-from strategem.experiment import BatchConfig, derive_seed, run_batch
-from strategem.model import Firm, Market, ResourceBundle, SimConfig, Strategy
+from strategem.config import BatchConfig, SimConfig
+from strategem.experiment import derive_seed, run_batch
+from strategem.model import Firm, Market, ResourceBundle, Strategy
 from strategem.strategy import (
     io_choose_market,
     market_attractiveness,

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from strategem.config import (
+    MAX_RATE,
+    MAX_SCALE,
+    BatchConfig,
     ConfigError,
+    SimConfig,
     apply_override,
     dump_config,
     load_config,
 )
 from strategem.engine import World
-from strategem.experiment import BatchConfig
-from strategem.model import MAX_RATE, MAX_SCALE, SimConfig
 
 
 class TestRoundTrip:
@@ -198,3 +200,62 @@ class TestIntegerCounts:
         value = float(getattr(make(), name))
         with pytest.raises(ValueError, match=name):
             make(**{name: value}).validate()
+
+
+class TestDeclaredTypes:
+    """`validate()` holds a config built in Python to the declared types:
+    a value is valid only if its own INI round trip returns it unchanged."""
+
+    @pytest.mark.parametrize(
+        "make,name,value",
+        [
+            (SimConfig, "market_size_choices", (10.5, 100.7)),
+            (SimConfig, "checkpoint_cycles", (20.5, 30)),
+            (SimConfig, "literal_distance_sign", "false"),
+            (SimConfig, "bankruptcy_grace", True),
+            (BatchConfig, "parallelism", True),
+            (SimConfig, "crowding", "0.1"),
+            (SimConfig, "barrier_sum_range", (1.0,)),
+            (SimConfig, "checkpoint_cycles", [20, 200]),
+            (SimConfig, "resource_init_range", [0.0, 100.0]),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_rejected(self, make, name, value):
+        with pytest.raises(ValueError, match=name):
+            make(**{name: value}).validate()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"initial_cash": 1000},
+            {"initial_cash": 10**17},
+            {"initial_stock": math.inf},
+            {"noise_amplitude": np.float64(0.3), "barrier_range": (np.float64(0.0), 50.0)},
+            {"n_firms": np.int64(20), "checkpoint_cycles": (np.int64(20),)},
+        ],
+    )
+    def test_accepted(self, kwargs):
+        SimConfig(**kwargs).validate()
+
+    def test_numpy_values_round_trip(self, tmp_path):
+        batch = BatchConfig(
+            n_runs=np.int64(3),
+            sim=SimConfig(
+                noise_amplitude=np.float64(0.3),
+                n_firms=np.int64(20),
+                share_value_range=(np.float64(0.5), np.float64(2.5)),
+            ),
+        )
+        batch.validate()
+        text = dump_config(batch)
+        assert "np." not in text
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        loaded = load_config(str(path))
+        loaded.validate()
+        assert dump_config(loaded) == text
+
+    def test_config_imports_nothing_from_the_package(self):
+        source = (Path(__file__).resolve().parent.parent / "src" / "strategem" / "config.py").read_text()
+        assert not [line for line in source.splitlines() if line.lstrip().startswith("from .")]

@@ -21,14 +21,12 @@ from strategem.engine import (
     update_sfm_prices,
     write_trace_rows,
 )
+from strategem.config import MAX_RATE, MAX_SCALE, SimConfig
 from strategem.model import (
-    MAX_RATE,
-    MAX_SCALE,
     Firm,
     Market,
     ResourceBundle,
     SfmState,
-    SimConfig,
     Strategy,
     bundle_value,
     total_asset_value,

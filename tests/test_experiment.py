@@ -6,10 +6,10 @@ import os
 
 import pytest
 
-from strategem import experiment
+from strategem import config, experiment
+from strategem.config import BatchConfig, SimConfig
 from strategem.experiment import (
     CHECKPOINT_FIELDS,
-    BatchConfig,
     RunSummary,
     aggregate_summaries,
     derive_seed,
@@ -18,7 +18,6 @@ from strategem.experiment import (
     run_one,
     write_runs_csv,
 )
-from strategem.model import SimConfig
 
 
 def small_sim(**extra):
@@ -219,8 +218,8 @@ class TestRunBatch:
         with pytest.raises(ValueError):
             BatchConfig(parallelism=0).validate()
         with pytest.raises(ValueError):
-            BatchConfig(parallelism=experiment.MAX_PARALLELISM + 1).validate()
-        BatchConfig(parallelism=experiment.MAX_PARALLELISM).validate()
+            BatchConfig(parallelism=config.MAX_PARALLELISM + 1).validate()
+        BatchConfig(parallelism=config.MAX_PARALLELISM).validate()
 
     @pytest.mark.parametrize(
         "n_runs,pools", [(3, []), (10, [3])], ids=["one-chunk-serial", "three-chunks"]

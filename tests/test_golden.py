@@ -16,8 +16,8 @@ import hashlib
 import io
 import os
 
-from strategem.experiment import BatchConfig, derive_seed, run_batch, run_one
-from strategem.model import SimConfig
+from strategem.config import BatchConfig, SimConfig
+from strategem.experiment import derive_seed, run_batch, run_one
 
 GOLDEN = {
     "runs.csv": "daf3f441c6d515f4fc37984be30b4e130d1e49e7f6058a0984a93270ccaaab08",

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from strategem.config import SimConfig
 from strategem.model import (
     Firm,
     Market,
     ResourceBundle,
     SfmState,
-    SimConfig,
     Strategy,
     bundle_value,
     total_asset_value,
