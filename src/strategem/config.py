@@ -2,12 +2,13 @@
 its flat INI form: [sim] and [batch] sections keyed by the field names.
 
 `SECTIONS` holds each field's declared type and drives parsing, dumping
-and `validate()`. A value is parsed by its type (`none` only where the
-type admits None, a tuple only at its declared length), and `validate()`
-accepts a value only if its own INI round trip gives it back unchanged,
-so a valid config dumps to text that loads back to an equal config.
-Missing keys keep their defaults. This module imports nothing else from
-the package.
+and `validate()`; `DOMAINS` holds the interval each field's value, or
+each element of its tuple, must lie in. A value is parsed by its type
+(`none` only where the type admits None, a tuple only at its declared
+length), and `validate()` accepts a value only if its own INI round trip
+gives it back unchanged, so a valid config dumps to text that loads back
+to an equal config. Missing keys keep their defaults. This module
+imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import configparser
 import math
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 
 class ConfigError(ValueError):
@@ -33,6 +34,43 @@ MAX_RATE = 1e6
 # The most worker processes a batch may ask for, on any host. Criterion 1
 # runs 8.
 MAX_PARALLELISM = 64
+
+# Field -> the interval (left bracket, lower end, upper end, right bracket)
+# that its value, or each element of its tuple, must lie in. A round bracket
+# excludes its end, so only `initial_stock` may be infinite (unlimited
+# supply). The lower ends keep a run from dividing by zero (1 + crowding *
+# occupants), from driving share values or factor prices to zero or below,
+# and from failing while the world is built.
+DOMAINS = {
+    "n_firms": ("[", 1, math.inf, ")"),
+    "n_markets": ("[", 1, math.inf, ")"),
+    "n_cycles": ("[", 0, math.inf, ")"),
+    "market_size_choices": ("[", 1, MAX_SCALE, "]"),
+    "initial_cash": ("[", 0, MAX_SCALE, "]"),
+    "resource_init_range": ("[", 0, MAX_SCALE, "]"),
+    "barrier_range": ("[", 0, MAX_SCALE, "]"),
+    "barrier_sum_range": ("[", 0, MAX_SCALE, "]"),
+    "resource_sum_range": ("[", 0, MAX_SCALE, "]"),
+    "barrier_mix_alpha": ("(", 0, math.inf, ")"),
+    "resource_mix_alpha": ("(", 0, math.inf, ")"),
+    "noise_amplitude": ("[", 0, 1, ")"),
+    "maintenance_rate": ("[", 0, 1, ")"),
+    "checkpoint_cycles": ("[", 1, math.inf, ")"),
+    "share_value_range": ("(", 0, MAX_SCALE, "]"),
+    "crowding": ("[", 0, math.inf, ")"),
+    "value_noise": ("[", -MAX_RATE, MAX_RATE, "]"),
+    "value_floor": ("(", 0, MAX_SCALE, "]"),
+    "initial_price": ("(", 0, MAX_SCALE, "]"),
+    "initial_stock": ("[", 0, math.inf, "]"),
+    "price_alpha": ("[", -MAX_RATE, MAX_RATE, "]"),
+    "price_floor": ("(", 0, MAX_SCALE, "]"),
+    "output_fraction": ("[", -MAX_RATE, MAX_RATE, "]"),
+    "bankruptcy_grace": ("[", 1, math.inf, ")"),
+    "literal_distance_sign": ("[", 0, 1, "]"),
+    "n_runs": ("[", 1, math.inf, ")"),
+    "base_seed": ("[", 0, math.inf, ")"),
+    "parallelism": ("[", 1, MAX_PARALLELISM, "]"),
+}
 
 
 @dataclass
@@ -87,61 +125,11 @@ class SimConfig:
     literal_distance_sign: bool = False
 
     def validate(self) -> None:
-        # NaN passes every comparison below; an infinite stock is unlimited supply.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            for v in value if isinstance(value, tuple) else (value,):
-                if isinstance(v, float) and not math.isfinite(v) and (v != math.inf or f.name != "initial_stock"):
-                    raise ValueError(f"{f.name} must be finite, not {v}")
-        _check_types(self, "sim")
-        if self.n_firms < 1 or self.n_markets < 1:
-            raise ValueError("n_firms and n_markets must be >= 1")
+        _check(self, "sim")
         if self.n_firms % 2 != 0:
-            raise ValueError("n_firms must be even (firms split 50/50 IO/RBV)")
-        if self.n_cycles < 0:
-            raise ValueError("n_cycles must be >= 0")
-        if any(c < 1 for c in self.checkpoint_cycles):
-            raise ValueError("checkpoint_cycles must be >= 1")
+            raise ValueError(f"n_firms must be even (firms split 50/50 IO/RBV), not {self.n_firms!r}")
         if not self.market_size_choices:
-            raise ValueError("market_size_choices must be non-empty")
-        if any(s < 1 for s in self.market_size_choices):
-            raise ValueError("market sizes must be >= 1")
-        if not (0.0 <= self.noise_amplitude < 1.0):
-            raise ValueError("noise_amplitude must be in [0, 1)")
-        if not (0.0 <= self.maintenance_rate < 1.0):
-            raise ValueError("maintenance_rate must be in [0, 1)")
-        for name in ("resource_init_range", "barrier_range", "barrier_sum_range", "resource_sum_range"):
-            interval = getattr(self, name)
-            if interval is not None and (interval[0] < 0 or interval[1] < interval[0]):
-                raise ValueError(f"{name} must be a non-negative interval")
-        if self.barrier_mix_alpha <= 0 or self.resource_mix_alpha <= 0:
-            raise ValueError("mix alphas must be > 0")
-        if self.share_value_range[0] <= 0 or self.share_value_range[1] < self.share_value_range[0]:
-            raise ValueError("share_value_range must be a positive interval")
-        if self.initial_cash < 0:
-            raise ValueError("initial_cash must be >= 0")
-        if self.bankruptcy_grace < 1:
-            raise ValueError("bankruptcy_grace must be >= 1")
-        # Below these bounds a run divides by zero (1 + crowding * occupants),
-        # drives share values or factor prices to zero or below, or fails
-        # while the world is built.
-        if self.crowding < 0:
-            raise ValueError("crowding must be >= 0")
-        if self.value_floor <= 0:
-            raise ValueError("value_floor must be > 0")
-        if self.initial_price <= 0 or self.price_floor <= 0:
-            raise ValueError("initial_price and price_floor must be > 0")
-        if self.initial_stock < 0:
-            raise ValueError("initial_stock must be >= 0")
-        for name in ("market_size_choices", "share_value_range", "value_floor",
-                     "initial_price", "price_floor", "initial_cash", "resource_init_range",
-                     "barrier_range", "resource_sum_range", "barrier_sum_range"):
-            value = getattr(self, name)
-            if value is not None and max(value if isinstance(value, tuple) else (value,)) > MAX_SCALE:
-                raise ValueError(f"{name} must be <= {MAX_SCALE:g}")
-        for name in ("price_alpha", "value_noise", "output_fraction"):
-            if abs(getattr(self, name)) > MAX_RATE:
-                raise ValueError(f"{name} must be within [-{MAX_RATE:g}, {MAX_RATE:g}]")
+            raise ValueError(f"market_size_choices must be non-empty, not {self.market_size_choices!r}")
 
 
 @dataclass
@@ -152,13 +140,7 @@ class BatchConfig:
     parallelism: int = 1
 
     def validate(self) -> None:
-        _check_types(self, "batch")
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
-        if not 1 <= self.parallelism <= MAX_PARALLELISM:
-            raise ValueError(f"parallelism must be within [1, {MAX_PARALLELISM}]")
+        _check(self, "batch")
         self.sim.validate()
 
 
@@ -219,18 +201,31 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _check_types(obj, section: str) -> None:
-    """Reject a field whose INI round trip changes it: a float or bool for
-    an int, a string, a list for a tuple, a tuple of another length."""
+def _check(obj, section: str) -> None:
+    """Hold each field to its declared type and to its interval in DOMAINS,
+    and each `*_range` to an end not below its start."""
     for name, kind in SECTIONS[section].items():
         value = getattr(obj, name)
-        try:
-            same = _parse_value(_format_value(value), kind) == value
-        except ValueError:
-            same = False
-        if not same:
-            shown = kind.__name__ if isinstance(kind, type) else kind
-            raise ValueError(f"{name} must be of type {shown}, not {value!r}")
+        items = () if value is None else value if isinstance(value, tuple) else (value,)
+        # NaN fails the round trip (nan != nan), so its interval rejects it.
+        nan = any(v != v for v in items if isinstance(v, float))
+        if not nan:
+            try:
+                parsed = _parse_value(_format_value(value), kind)
+                same = isinstance(parsed, tuple) == isinstance(value, tuple) and parsed == value
+            except ValueError:
+                same = False
+            if not same:
+                shown = kind.__name__ if isinstance(kind, type) else kind
+                raise ValueError(f"{name} must be of type {shown}, not {value!r}")
+        left, lo, hi, right = DOMAINS[name]
+        inside = not nan and all(
+            (lo <= v if left == "[" else lo < v) and (v <= hi if right == "]" else v < hi) for v in items
+        )
+        ranged = name.endswith("_range") and value is not None
+        if not inside or ranged and value[1] < value[0]:
+            rule = (" elementwise" if isinstance(value, tuple) else "") + (", start <= end" if ranged else "")
+            raise ValueError(f"{name} must be in {left}{lo:g}, {hi:g}{right}{rule}, not {value!r}")
 
 
 def _section_object(batch: BatchConfig, section: str):
@@ -255,7 +250,7 @@ def load_config(path: str | None = None) -> BatchConfig:
     batch = BatchConfig(sim=SimConfig())
     if path is None:
         return batch
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)

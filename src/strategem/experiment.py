@@ -49,6 +49,8 @@ def _percent(count):
 
 # Rows of aggregate.csv, in order: statistic -> (reducer of one column's
 # finite values, whether it applies to the relative-difference columns only).
+# The n_* and pct_* rows count the signs of rd_* = (IO - RBV) / RBV, which
+# read IO > RBV as RBV > IO in a run whose RBV value is negative.
 AGGREGATE_REDUCERS = {
     "average": (_spread(np.mean), False),
     "st_dev": (_spread(np.std), False),
@@ -228,7 +230,7 @@ def read_runs_csv(path: str) -> list[RunSummary]:
 
 def aggregate_summaries(summaries: Sequence[RunSummary]) -> list[dict]:
     """Mean / st.dev / variance / median / max / min per column, plus the
-    IO-vs-RBV win tallies over the relative-difference columns.
+    sign counts of the relative-difference columns (AGGREGATE_REDUCERS).
 
     Statistics skip missing (blank) values; st.dev and variance are the
     population forms, so a single run aggregates with zero spread.

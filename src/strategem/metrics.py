@@ -25,7 +25,8 @@ class RbvProfile(Enum):
 
 
 # Relative-difference columns -> the (IO, RBV) columns they compare. Their
-# signs feed the "Nb of cases where IO > RBV" tallies.
+# signs feed aggregate.csv's IO-vs-RBV tallies; where the RBV value is
+# negative, the sign of (IO - RBV) / RBV is the reverse of IO > RBV.
 RELATIVE_DIFF_FIELDS = {
     "rd_best": ("best_io", "best_rbv"),
     "rd_avg5": ("avg5_io", "avg5_rbv"),

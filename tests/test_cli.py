@@ -56,6 +56,15 @@ class TestValidate:
         assert "config error" in err
         assert "[sim] n_firms" in err
 
+    def test_percent_sign_is_a_bad_value_not_a_crash(self, tmp_path, capsys):
+        # The parser does no interpolation, so '%' is just a character.
+        path = tmp_path / "pct.ini"
+        path.write_text("[sim]\nn_firms = 5%\n")
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [sim] n_firms: bad value '5%'")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("override", OUT_OF_RANGE)
     def test_out_of_range_value_exits_1(self, tmp_path, capsys, command, override):

@@ -1,5 +1,5 @@
-"""INI config parsing, dumping, override handling, and the non-finite,
-checkpoint-cycle and magnitude rules."""
+"""INI config parsing, dumping, override handling, and the interval,
+non-finite, checkpoint-cycle and magnitude rules."""
 
 import dataclasses
 import math
@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from strategem.config import (
+    DOMAINS,
     MAX_RATE,
     MAX_SCALE,
+    SECTIONS,
     BatchConfig,
     ConfigError,
     SimConfig,
@@ -188,6 +190,40 @@ class TestNonFinite:
             assert math.isfinite(firm.cash) and math.isfinite(firm.total_perf)
 
 
+class TestDomains:
+    """One interval per field: `validate()` accepts an included end, rejects
+    an excluded one, and names the field, its interval and the value."""
+
+    def test_every_field_has_one_domain(self):
+        assert sorted(DOMAINS) == sorted([*SECTIONS["sim"], *SECTIONS["batch"]])
+
+    @pytest.mark.parametrize(
+        "name,value", [("share_value_range", (5e-324, 1.0)), ("barrier_mix_alpha", 5e-324)]
+    )
+    def test_accepts_a_value_just_inside_an_excluded_end(self, name, value):
+        SimConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize(
+        "make,name,value,message",
+        [
+            (SimConfig, "noise_amplitude", 1.0, "noise_amplitude must be in [0, 1), not 1.0"),
+            (SimConfig, "maintenance_rate", 1.0, "maintenance_rate must be in [0, 1), not 1.0"),
+            (BatchConfig, "parallelism", 65, "parallelism must be in [1, 64], not 65"),
+            (SimConfig, "barrier_mix_alpha", 0.0, "barrier_mix_alpha must be in (0, inf), not 0.0"),
+            (SimConfig, "share_value_range", (0.0, 1.0),
+             "share_value_range must be in (0, 1e+100] elementwise, start <= end, not (0.0, 1.0)"),
+            (SimConfig, "barrier_range", (5.0, 1.0),
+             "barrier_range must be in [0, 1e+100] elementwise, start <= end, not (5.0, 1.0)"),
+            (SimConfig, "crowding", math.nan, "crowding must be in [0, inf), not nan"),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_rejection_names_the_field_its_interval_and_the_value(self, make, name, value, message):
+        with pytest.raises(ValueError) as info:
+            make(**{name: value}).validate()
+        assert str(info.value) == message
+
+
 class TestIntegerCounts:
     @pytest.mark.parametrize(
         "make,name",
@@ -218,6 +254,7 @@ class TestDeclaredTypes:
             (SimConfig, "barrier_sum_range", (1.0,)),
             (SimConfig, "checkpoint_cycles", [20, 200]),
             (SimConfig, "resource_init_range", [0.0, 100.0]),
+            (SimConfig, "checkpoint_cycles", np.int64(20)),  # a TypeError before
         ],
         ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
     )
