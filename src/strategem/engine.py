@@ -50,23 +50,23 @@ deficits then only at a `-0.0` barrier component, which `_draw_bundle`
 never draws.)
 
 Both strategies enter through one block at the end of the acting loop. It
-buys the barrier deficit through `sfm_buy` and books the purchase in the
+buys only when the bundle is short of the barrier in some component: then,
+and only then, has `strategy.barrier_deficit` a component above zero, the
+components being finite (a `-0.0` against a `0.0` is not short either
+way). It buys that deficit through `sfm_buy` and books the purchase in the
 cycle's trade tallies, which like the column are locals of `step_cycle`,
-so it adds no attribute to `World`. A zero deficit means the bundle already
-meets the barrier, its components being finite, so such a join buys
-nothing. Every full purchase joins too: it leaves each component at
+so it adds no attribute to `World`; a bundle that meets the barrier joins
+without buying. Every full purchase joins too: it leaves each component at
 `r + max(b - r, 0)`, the barrier up to the rounding of that one sum, so the
 block does not test the bundle against the barrier again. Such a test
 would need a tolerance, and for barriers as large as `validate()` accepts
 the rounding passes any absolute one (1e-9 near `b` = 1e10), so the test
 would keep out a firm that had paid.
 
-The per-firm leaves that nothing wraps are inlined, each in the exact
-operation order of the function it restates: the entry block's barrier
-deficit (`strategy.barrier_deficit`) and the two column cells a join moves
-(`market_attractiveness`, from a per-cycle list of each market's
-`shares * share_value`), and the payout's maintenance base
-(`model.total_asset_value`, at the prices taken before the update).
+One formula is restated inline: the payout's maintenance base, cash plus
+the bundle at the prices taken before the update, in the operation order
+of `model.total_asset_value`. A call would need those prices in an
+`SfmState` of their own, and costs more per run than the inline sum.
 Settlement's ROA, `profit / assets` or 0.0 for assets at or below zero,
 restates nothing: that line is its one definition.
 The calls that a function-wrapping tracer counts by name stay calls, as
@@ -74,9 +74,8 @@ often as before: the choosers once per actor, `sfm_buy` and `sfm_sell` once
 per trade, `update_share_value` once per market, `update_sfm_prices` once
 per cycle, and `total_asset_value` and `survival_check` once per firm alive
 at settlement (`tests/test_engine.py::TestTracerHooks` and
-`perfbench/tracer.py`). `step_cycle` binds them to locals once per call,
-never at import, so a function swapped on this module for a run is still
-the one called.
+`perfbench/tracer.py`). `step_cycle` calls them by their names on this
+module, so a function swapped there for a run is the one called.
 """
 
 from __future__ import annotations
@@ -316,11 +315,8 @@ class World:
         firms = self.firms
         sfm = self.sfm
         self.cycle += 1
-        # Bound once per call, not at import (see the module docstring).
+        # A local: a lookup on the `Enum` class is slow once per firm.
         io = Strategy.IO
-        choose_io, choose_rbv, candidate_of = io_choose_market, rbv_choose_market, rbv_candidate
-        buy, sell = sfm_buy, sfm_sell
-        asset_value, survives = total_asset_value, survival_check
 
         # The cycle's factor-market book: units bought and sold per type, and
         # the units bought with their eps-weighted sum, for step (6).
@@ -359,16 +355,13 @@ class World:
         # same cycle, so a crowd disperses instead of piling onto one
         # opportunity.
         column = np.array([market_attractiveness(m) for m in markets])
-        # Each market's `shares * share_value`, the numerator of its cell;
-        # share values hold still until step (6).
-        totals = [m.shares * m.share_value for m in markets]
         candidates = self.rbv_candidates
         literal_sign, output_fraction = cfg.literal_distance_sign, cfg.output_fraction
         for firm in actors:
             if firm.strategy is io:
                 noise = noises[pos:pos + n_markets] if k else None
                 pos += n_markets
-                choice = choose_io(firm, column, noise)
+                choice = io_choose_market(firm, column, noise)
                 if choice.market == firm.market:
                     continue
             else:
@@ -377,10 +370,10 @@ class World:
                 bundle = firm.resources.as_tuple()
                 memo = candidates.get(firm.id)
                 if memo is None or memo[0] != bundle:
-                    candidate = candidate_of(firm, markets, literal_sign)
+                    candidate = rbv_candidate(firm, markets, literal_sign)
                     deficit = ResourceBundle(*barrier_deficit(firm, candidate))
                     memo = candidates[firm.id] = (bundle, candidate, deficit)
-                choice = choose_rbv(firm, memo[1], memo[2], sfm, output_fraction, noise)
+                choice = rbv_choose_market(firm, memo[1], memo[2], sfm, output_fraction, noise)
                 action = choice.action
                 if action is not ENTER:
                     if action is SELL_RESOURCE:
@@ -391,28 +384,23 @@ class World:
                             res.green if kind == 1 else 0.0,
                             res.blue if kind == 2 else 0.0,
                         )
-                        sell(firm, offer, sfm)
+                        sfm_sell(firm, offer, sfm)
                         supply_red += offer.red
                         supply_green += offer.green
                         supply_blue += offer.blue
                     elif action is SELL_OUTPUT:
                         firm.revenue = choice.score
                     continue
-            # Entry, for both strategies: buy the barrier deficit
-            # (`barrier_deficit`, inlined) and join the market. A firm that
-            # cannot buy the whole deficit stays out this cycle and retries
-            # later; no partial siege purchases. The firm leaves its previous
-            # market only on a join.
+            # Entry, for both strategies: a bundle short of the barrier buys
+            # its `barrier_deficit`, and the firm joins the market. A firm
+            # that cannot buy the whole deficit stays out this cycle and
+            # retries later; no partial siege purchases. The firm leaves its
+            # previous market only on a join.
             market = markets[choice.market]
             barrier, res = market.barrier, firm.resources
-            dr = barrier.red - res.red
-            dr = dr if dr >= 0.0 else 0.0
-            dg = barrier.green - res.green
-            dg = dg if dg >= 0.0 else 0.0
-            db = barrier.blue - res.blue
-            db = db if db >= 0.0 else 0.0
-            if dr > 0 or dg > 0 or db > 0:
-                cost = buy(firm, ResourceBundle(dr, dg, db), sfm)
+            if res.red < barrier.red or res.green < barrier.green or res.blue < barrier.blue:
+                dr, dg, db = barrier_deficit(firm, market)
+                cost = sfm_buy(firm, ResourceBundle(dr, dg, db), sfm)
                 if cost is None:
                     continue
                 firm.cost += cost
@@ -422,14 +410,14 @@ class World:
                 units = dr + dg + db
                 demand_eps_weight += units * eps
                 demand_units += units
-            # The two column cells the join moves, as `market_attractiveness`.
+            # The two column cells the join moves.
             if firm.market is not None:
                 left = markets[firm.market]
-                occ = left.occupants = left.occupants - 1
-                column[left.id] = totals[left.id] / (occ if occ > 1 else 1)
+                left.occupants -= 1
+                column[left.id] = market_attractiveness(left)
             firm.market = market.id
-            occ = market.occupants = market.occupants + 1
-            column[market.id] = totals[market.id] / (occ if occ > 1 else 1)
+            market.occupants += 1
+            column[market.id] = market_attractiveness(market)
 
         # The payout's snapshots, taken before step (6) moves the prices.
         payouts = column.tolist()
@@ -476,11 +464,11 @@ class World:
             # Purchases already left the cash account in sfm_buy, so only
             # the flow part moves cash here.
             firm.cash = cash + (revenue - maintenance)
-            assets = asset_value(firm, sfm)
+            assets = total_asset_value(firm, sfm)
             roa = 0.0 if assets <= 0.0 else profit / assets
             firm.instant_perf = roa
             firm.total_perf += roa
-            if not survives(firm, assets, grace):
+            if not survival_check(firm, assets, grace):
                 # The market tag stays on the corpse (profiling reads it),
                 # but only alive firms count as occupants.
                 firm.alive = False

@@ -2,7 +2,7 @@
 factor market. The run configuration lives in `config`.
 
 All mutation of these objects is owned by the engine; everything here is a
-plain value type safe to snapshot and compare.
+plain value type safe to snapshot. Bundles compare by `as_tuple()`.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ class ResourceBundle:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.red, self.green, self.blue)
-
-    def __eq__(self, other):
-        if not isinstance(other, ResourceBundle):
-            return NotImplemented
-        return self.as_tuple() == other.as_tuple()
 
     def __repr__(self):
         return f"ResourceBundle({self.red!r}, {self.green!r}, {self.blue!r})"

@@ -97,8 +97,7 @@ def barrier_deficit(firm: Firm, market: Market) -> tuple[float, float, float]:
     """Per-type amounts (red, green, blue) by which the firm's bundle falls
     short of the market barrier; zero where the barrier is already met.
 
-    The amounts are `_positive_gap(barrier, holding)`; `World.step_cycle`
-    restates it inline in its entry block.
+    The amounts are `_positive_gap(barrier, holding)`.
     """
     return _positive_gap(market.barrier, firm.resources)
 

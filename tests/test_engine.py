@@ -321,23 +321,38 @@ class TestStepCycle:
         monkeypatch.setattr(strategem.engine, "sfm_buy", recording)
         return buys
 
-    def test_zero_deficit_joins_without_buying(self, monkeypatch):
-        # Both firms hold exactly the barrier, so entry is free: each splits
-        # 10 shares * value 2 and no cost is booked.
+    @pytest.mark.parametrize(
+        "entry_state",
+        [
+            pytest.param(lambda b: (b, b), id="at-barrier"),
+            pytest.param(
+                lambda b: (b, tuple(math.nextafter(v, math.inf) for v in b)), id="above-barrier"
+            ),
+            # 0.0 - -0.0 is 0.0, and -0.0 - 0.0 is -0.0: neither is short
+            pytest.param(lambda b: ((0.0, b[1], b[2]), (-0.0, b[1], b[2])), id="neg-zero-holding"),
+            pytest.param(lambda b: ((b[0], -0.0, b[2]), (b[0], 0.0, b[2])), id="neg-zero-barrier"),
+        ],
+    )
+    def test_zero_deficit_joins_without_buying(self, monkeypatch, entry_state):
+        # Both firms meet the barrier in every component, so entry is free:
+        # each splits 10 shares * value 2 and no cost is booked.
         buys = self._recording_buys(monkeypatch)
         world = _controlled_world(barrier_sum_range=(300.0, 300.0))
-        barrier = world.markets[0].barrier.as_tuple()
-        assert min(barrier) < max(barrier)
+        market = world.markets[0]
+        assert min(market.barrier.as_tuple()) < max(market.barrier.as_tuple())
+        barrier, holdings = entry_state(market.barrier.as_tuple())
+        market.barrier = ResourceBundle(*barrier)
         for firm in world.firms:
-            firm.resources = ResourceBundle(*barrier)
+            firm.resources = ResourceBundle(*holdings)
+        assert not max(barrier_deficit(world.firms[0], market)) > 0.0
         stock_before = world.sfm.stock.as_tuple()
         world.step_cycle()
         assert buys == []
         assert world.sfm.stock.as_tuple() == stock_before
-        assert world.markets[0].occupants == 2
+        assert market.occupants == 2
         for firm in world.firms:
             assert firm.market == 0
-            assert firm.resources.as_tuple() == barrier
+            assert _signed(firm.resources.as_tuple()) == _signed(holdings)
             assert firm.cost == 0.0
             assert firm.cash == 100.0 + 10.0
 
@@ -347,6 +362,9 @@ class TestStepCycle:
             pytest.param(lambda b: (b, (0.0, 0.0, 0.0)), id="empty"),
             pytest.param(lambda b: (b, (b[0], b[1], 0.0)), id="two-components-met"),
             pytest.param(lambda b: ((1e-323, b[1], b[2]), (5e-324, 0.0, 0.0)), id="gap-5e-324"),
+            pytest.param(
+                lambda b: (b, (b[0], math.nextafter(b[1], 0.0), b[2])), id="one-ulp-short"
+            ),
             # 0.0 - -0.0 is 0.0, and -0.0 - 0.0 is -0.0, which stays -0.0
             pytest.param(lambda b: ((0.0, -0.0, b[2]), (-0.0, 0.0, 0.0)), id="signed-zero"),
         ],
