@@ -50,10 +50,10 @@ deficits then only at a `-0.0` barrier component, which `_draw_bundle`
 never draws.)
 
 Both strategies enter through one block at the end of the acting loop. It
-buys only when the bundle is short of the barrier in some component: then,
-and only then, has `strategy.barrier_deficit` a component above zero, the
-components being finite (a `-0.0` against a `0.0` is not short either
-way). It buys that deficit through `sfm_buy` and books the purchase in the
+buys only when the bundle is short of the barrier in some component, which,
+the components being finite, is exactly when `strategy.barrier_deficit` has
+a component above zero (a `-0.0` against a `0.0` is short in neither
+order). It buys that deficit through `sfm_buy` and books the purchase in the
 cycle's trade tallies, which like the column are locals of `step_cycle`,
 so it adds no attribute to `World`; a bundle that meets the barrier joins
 without buying. Every full purchase joins too: it leaves each component at

@@ -339,12 +339,13 @@ class TestStepCycle:
         buys = self._recording_buys(monkeypatch)
         world = _controlled_world(barrier_sum_range=(300.0, 300.0))
         market = world.markets[0]
-        assert min(market.barrier.as_tuple()) < max(market.barrier.as_tuple())
-        barrier, holdings = entry_state(market.barrier.as_tuple())
+        drawn = market.barrier.as_tuple()
+        assert min(drawn) < max(drawn)
+        barrier, holdings = entry_state(drawn)
         market.barrier = ResourceBundle(*barrier)
         for firm in world.firms:
             firm.resources = ResourceBundle(*holdings)
-        assert not max(barrier_deficit(world.firms[0], market)) > 0.0
+        assert max(barrier_deficit(world.firms[0], market)) <= 0.0
         stock_before = world.sfm.stock.as_tuple()
         world.step_cycle()
         assert buys == []
