@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterator, Sequence
 
@@ -140,7 +139,9 @@ def run_batch(
     aggregate is taken from the summaries in memory, and `aggregate` run
     later over runs.csv reproduces aggregate.csv byte for byte: runs.csv
     writes each double with 17 significant digits, which parse back to the
-    same double (see `aggregate_summaries`).
+    same double (see `aggregate_summaries`). The pool module is imported
+    only when a batch starts a pool, so a process that runs no pool never
+    loads `multiprocessing`.
     """
     batch.validate()
     if trace and out_dir is None:
@@ -152,6 +153,8 @@ def run_batch(
     tasks = [(i, batch.base_seed, batch.sim, trace_dir) for i in range(batch.n_runs)]
     workers = min(batch.parallelism, math.ceil(batch.n_runs / CHUNKSIZE))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_run_task, tasks, chunksize=CHUNKSIZE))
     else:

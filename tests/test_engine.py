@@ -3,6 +3,7 @@ the per-cycle loop, and whole-run invariants."""
 
 import io
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from strategem.engine import (
     update_sfm_prices,
     write_trace_rows,
 )
-from strategem.config import MAX_RATE, MAX_SCALE, SimConfig
+from strategem.config import DOMAINS, MAX_RATE, MAX_SCALE, SECTIONS, BatchConfig, SimConfig
+from strategem.experiment import derive_seed
+from strategem.metrics import CHECKPOINT_FIELDS, checkpoint_stats
 from strategem.model import (
     Firm,
     Market,
@@ -858,37 +861,79 @@ def _resource_totals(world):
     return tuple(totals)
 
 
-# Small configs that validate() accepts, with the knobs drawn well past
-# their defaults, and the three rates over all that validate() accepts.
-small_configs = st.builds(
-    SimConfig,
-    n_firms=st.sampled_from([2, 4, 10, 20]),
-    n_markets=st.integers(1, 5),
-    n_cycles=st.just(25),
-    checkpoint_cycles=st.just(()),
-    initial_cash=st.floats(0.0, 2000.0),
-    noise_amplitude=st.floats(0.0, 0.99),
-    maintenance_rate=st.floats(0.0, 0.5),
-    crowding=st.floats(0.0, 2.0),
-    value_noise=st.floats(-MAX_RATE, MAX_RATE),
-    value_floor=st.floats(1e-3, 1.0),
-    initial_price=st.floats(1e-3, 10.0),
-    price_floor=st.floats(1e-3, 1.0),
-    initial_stock=st.floats(0.0, 1e4),
-    price_alpha=st.floats(-MAX_RATE, MAX_RATE),
-    output_fraction=st.floats(-MAX_RATE, MAX_RATE),
-    bankruptcy_grace=st.integers(1, 10),
-    literal_distance_sign=st.booleans(),
-)
+# The largest sizes drawn, so that an example runs in milliseconds.
+_SIZE_CAPS = {"n_firms": 24, "n_markets": 6, "n_cycles": 40}
+
+
+def _scalars(name, kind):
+    """Values inside `name`'s DOMAINS interval: its ends, or the nearest
+    values inside an open end; log-uniform magnitudes, of both signs where
+    the interval allows; and uniform draws."""
+    if kind is bool:
+        return st.booleans()
+    left, lo, hi, right = DOMAINS[name]
+    if name in _SIZE_CAPS:
+        hi, right = _SIZE_CAPS[name], "]"
+    if kind is int:
+        first = lo if left == "[" else lo + 1
+        last = int(hi) if math.isfinite(hi) else 10**18
+        magnitudes = st.floats(0, math.log10(last)).map(lambda e: int(10**e))
+        return st.one_of(
+            st.sampled_from([first, last]),
+            magnitudes.filter(lambda v: v >= first),
+            st.integers(first, last),
+        )
+    first = lo if left == "[" else math.nextafter(lo, hi)
+    last = hi if right == "]" else math.nextafter(hi, lo)
+    top = min(308.0, math.log10(max(abs(first), abs(last))))
+    magnitudes = st.floats(-300.0, top).map(lambda e: 10.0**e)
+    signed = [magnitudes.map(lambda m: -m)] if first < 0 else []
+    if last > 0:
+        signed.append(magnitudes)
+    return st.one_of(
+        st.sampled_from([first, last]),
+        st.one_of(signed).filter(lambda v: first <= v <= last),
+        st.floats(first, last),
+    )
+
+
+def _field(name, kind):
+    """Values of one config field of declared type `kind` that validate()
+    accepts: None where the type admits it, each `*_range` with start <= end,
+    and a non-empty `market_size_choices`."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        (kind,) = (a for a in args if a is not type(None))
+        return st.none() | _field(name, kind)
+    if typing.get_origin(kind) is not tuple:
+        return _scalars(name, kind)
+    args = typing.get_args(kind)
+    if args[-1] is Ellipsis:
+        min_size = 1 if name == "market_size_choices" else 0
+        return st.lists(_scalars(name, args[0]), min_size=min_size, max_size=3).map(tuple)
+    pair = st.tuples(*(_scalars(name, a) for a in args))
+    return pair.map(lambda p: tuple(sorted(p))) if name.endswith("_range") else pair
+
+
+# Every key of every config section, each drawn over its DOMAINS interval;
+# n_firms is made even, since firms split 50/50 IO/RBV.
+config_values = st.fixed_dictionaries(
+    {name: _field(name, kind) for types in SECTIONS.values() for name, kind in types.items()}
+).map(lambda v: {**v, "n_firms": v["n_firms"] + v["n_firms"] % 2})
 
 
 class TestRandomConfigInvariants:
-    @given(small_configs, st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_invariants_hold_every_cycle(self, cfg, seed):
+    @given(config_values)
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    def test_invariants_hold_every_cycle(self, values):
+        assert set(values) == set(DOMAINS)  # a key the strategy misses fails
+        cfg = SimConfig(**{name: values[name] for name in SECTIONS["sim"]})
+        batch = BatchConfig(sim=cfg, **{name: values[name] for name in SECTIONS["batch"]})
+        batch.validate()
+        seed = derive_seed(batch.base_seed, 0)
         world = World(cfg, np.random.Generator(np.random.PCG64(seed)))
         base_totals = _resource_totals(world)
-        for _ in range(cfg.n_cycles):
+        for cycle in range(1, cfg.n_cycles + 1):
             v_pre = {m.id: m.share_value for m in world.markets}
             world.step_cycle()
             assert _trace_text(world) == _fielded_rows(world)
@@ -915,6 +960,8 @@ class TestRandomConfigInvariants:
                 market = world.markets[market_id]
                 expected = market.shares * v_pre[market_id]
                 assert sum(revenues) == pytest.approx(expected, rel=1e-12)
+            if cycle in cfg.checkpoint_cycles:
+                assert sorted(checkpoint_stats(world.firms)) == sorted(CHECKPOINT_FIELDS)
 
 
 # Bundles and barriers at the largest validate() accepts, drawn either way.

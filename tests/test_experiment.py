@@ -1,8 +1,11 @@
 """Batch harness: seed derivation, run summaries, CSV round-trips, and
 order-independent aggregation."""
 
+import concurrent.futures
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -244,8 +247,24 @@ class TestRunBatch:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        # run_batch imports the executor from concurrent.futures at pool start.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         batch = BatchConfig(n_runs=n_runs, base_seed=2, sim=small_sim(), parallelism=8)
         summaries, _ = run_batch(batch)
         assert sizes == pools
         assert [s.run_id for s in summaries] == list(range(n_runs))
+
+    def test_import_loads_no_pool_module(self):
+        # Only a batch that starts a pool pays for the pool import, so a
+        # fresh `import strategem` (and the CLI) loads no multiprocessing.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = (
+            "import sys, strategem, strategem.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
