@@ -907,7 +907,6 @@ def _field(name, kind):
         return st.none() | _field(name, kind)
     if typing.get_origin(kind) is not tuple:
         return _scalars(name, kind)
-    args = typing.get_args(kind)
     if args[-1] is Ellipsis:
         min_size = 1 if name == "market_size_choices" else 0
         return st.lists(_scalars(name, args[0]), min_size=min_size, max_size=3).map(tuple)
