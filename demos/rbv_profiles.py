@@ -14,6 +14,7 @@ import numpy as np
 
 from strategem import RbvProfile, SimConfig, Strategy, World, classify_rbv
 from strategem.experiment import derive_seed
+from strategem.metrics import checkpoint_stats
 
 
 def main():
@@ -29,12 +30,12 @@ def main():
         if firm.strategy is Strategy.RBV:
             bins[classify_rbv(firm, world.firms)].append(firm)
 
+    # The count and mean of each profile as runs.csv records them
+    stats = checkpoint_stats(world.firms)
     print(f"RBV profiles after {config.n_cycles} cycles:\n")
     for profile, firms in bins.items():
-        perfs = [f.total_perf for f in firms]
-        mean = np.mean(perfs) if perfs else float("nan")
-        print(f"  {profile.value:20s}: {len(firms):3d} firms, "
-              f"mean total perf {mean:7.3f}")
+        print(f"  {profile.value:20s}: {stats[f'n_{profile.value}']:3d} firms, "
+              f"mean total perf {stats[f'perf_{profile.value}']:7.3f}")
         for firm in sorted(firms, key=lambda f: -f.total_perf)[:3]:
             where = (
                 f"market {firm.market}" if firm.market is not None else "no market"

@@ -14,11 +14,10 @@ import sys
 
 from .config import ConfigError, apply_override, dump_config, load_config
 from .experiment import (
-    derive_seed,
     read_runs_csv,
     aggregate_summaries,
     run_batch,
-    run_one,
+    run_task,
     write_aggregate_csv,
     write_runs_csv,
 )
@@ -130,12 +129,11 @@ def main(argv: list[str] | None = None) -> int:
 
         _echo_config(batch, args.out)
         if args.command == "run":
-            seed = derive_seed(batch.base_seed, 0)
+            # Run 0 of a batch with the same settings, through the batch's task.
             trace_path = os.path.join(args.out, "trace.csv")
-            with open(trace_path, "w") as fh:
-                summary = run_one(seed, batch.sim, run_id=0, trace_out=fh)
+            summary = run_task((0, batch.base_seed, batch.sim, trace_path))
             write_runs_csv(os.path.join(args.out, "runs.csv"), [summary])
-            print(f"wrote {trace_path} (seed {seed})")
+            print(f"wrote {trace_path} (seed {summary.seed})")
             return 0
 
         summaries, _ = run_batch(batch, out_dir=args.out, trace=args.trace)

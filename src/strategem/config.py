@@ -40,7 +40,10 @@ MAX_PARALLELISM = 64
 # excludes its end, so only `initial_stock` may be infinite (unlimited
 # supply). The lower ends keep a run from dividing by zero (1 + crowding *
 # occupants), from driving share values or factor prices to zero or below,
-# and from failing while the world is built.
+# and from failing while the world is built. The mix alphas stop at
+# MAX_SCALE because numpy's `dirichlet` returns [0, 0, 0] from 1e308 on, so
+# every barrier or bundle would be (0, 0, 0) instead of summing to its drawn
+# total.
 DOMAINS = {
     "n_firms": ("[", 1, math.inf, ")"),
     "n_markets": ("[", 1, math.inf, ")"),
@@ -51,8 +54,8 @@ DOMAINS = {
     "barrier_range": ("[", 0, MAX_SCALE, "]"),
     "barrier_sum_range": ("[", 0, MAX_SCALE, "]"),
     "resource_sum_range": ("[", 0, MAX_SCALE, "]"),
-    "barrier_mix_alpha": ("(", 0, math.inf, ")"),
-    "resource_mix_alpha": ("(", 0, math.inf, ")"),
+    "barrier_mix_alpha": ("(", 0, MAX_SCALE, "]"),
+    "resource_mix_alpha": ("(", 0, MAX_SCALE, "]"),
     "noise_amplitude": ("[", 0, 1, ")"),
     "maintenance_rate": ("[", 0, 1, ")"),
     "checkpoint_cycles": ("[", 1, math.inf, ")"),

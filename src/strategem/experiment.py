@@ -1,6 +1,7 @@
 """Batch runner: many independent seeded runs, summarized and aggregated.
 
-`run_batch` validates and runs a `config.BatchConfig`. A run's summary
+`run_batch` validates and runs a `config.BatchConfig`, each member through
+`run_task`, which `strategem run` calls for member 0. A run's summary
 holds the row that `metrics.checkpoint_stats` returns at each checkpoint
 cycle; this module writes those rows to runs.csv, reads them back, and
 aggregates them into aggregate.csv.
@@ -12,7 +13,6 @@ count affects wall clock only, never output bytes.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -27,41 +27,6 @@ from .metrics import CHECKPOINT_FIELDS, RELATIVE_DIFF_FIELDS, checkpoint_stats
 # Runs a pool worker takes at a time. A batch starts at most one worker per
 # chunk, since a worker beyond that would get no chunk.
 CHUNKSIZE = 4
-
-
-def _spread(reduce):
-    """A summary statistic; blank for a column with no finite values."""
-    return lambda finite: float(reduce(finite)) if len(finite) else math.nan
-
-
-def _n_io(finite) -> float:
-    return float(np.count_nonzero(finite > 0))
-
-
-def _n_rbv(finite) -> float:
-    return float(np.count_nonzero(finite < 0))
-
-
-def _percent(count):
-    return lambda finite: 100.0 * count(finite) / len(finite) if len(finite) else math.nan
-
-
-# Rows of aggregate.csv, in order: statistic -> (reducer of one column's
-# finite values, whether it applies to the relative-difference columns only).
-# The n_* and pct_* rows count the signs of rd_* = (IO - RBV) / RBV, which
-# read IO > RBV as RBV > IO in a run whose RBV value is negative.
-AGGREGATE_REDUCERS = {
-    "average": (_spread(np.mean), False),
-    "st_dev": (_spread(np.std), False),
-    "variance": (_spread(np.var), False),
-    "median": (_spread(np.median), False),
-    "maxima": (_spread(np.max), False),
-    "minima": (_spread(np.min), False),
-    "n_io_gt_rbv": (_n_io, True),
-    "n_rbv_gt_io": (_n_rbv, True),
-    "pct_io_gt_rbv": (_percent(_n_io), True),
-    "pct_rbv_gt_io": (_percent(_n_rbv), True),
-}
 
 
 @dataclass
@@ -112,17 +77,19 @@ def run_one(
     return summary
 
 
-def _run_task(args: tuple[int, int, SimConfig, str | None]) -> RunSummary:
-    """Run one batch member, writing its trace into `trace_dir` as it runs
-    when a directory is given."""
-    run_id, base_seed, config, trace_dir = args
+def run_task(args: tuple[int, int, SimConfig, str | None]) -> RunSummary:
+    """Run batch member `run_id` of `base_seed`, writing its trace to
+    `trace_path` as it runs when a path is given.
+
+    Every run of a batch goes through here, and so does `strategem run`,
+    as member 0, so a failure names the run and its seed either way.
+    """
+    run_id, base_seed, config, trace_path = args
     seed = derive_seed(base_seed, run_id)
     try:
-        if trace_dir is None:
-            trace = contextlib.nullcontext()
-        else:
-            trace = open(os.path.join(trace_dir, f"run_{run_id}.csv"), "w")
-        with trace as fh:
+        if trace_path is None:
+            return run_one(seed, config, run_id=run_id)
+        with open(trace_path, "w") as fh:
             return run_one(seed, config, run_id=run_id, trace_out=fh)
     except Exception as exc:  # surface the offending seed to the caller
         raise RuntimeError(f"run {run_id} (seed {seed}) failed: {exc}") from exc
@@ -150,15 +117,18 @@ def run_batch(
     if trace:
         trace_dir = os.path.join(out_dir, "traces")
         os.makedirs(trace_dir, exist_ok=True)
-    tasks = [(i, batch.base_seed, batch.sim, trace_dir) for i in range(batch.n_runs)]
+    tasks = [
+        (i, batch.base_seed, batch.sim, trace_dir and os.path.join(trace_dir, f"run_{i}.csv"))
+        for i in range(batch.n_runs)
+    ]
     workers = min(batch.parallelism, math.ceil(batch.n_runs / CHUNKSIZE))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_run_task, tasks, chunksize=CHUNKSIZE))
+            summaries = list(pool.map(run_task, tasks, chunksize=CHUNKSIZE))
     else:
-        summaries = [_run_task(t) for t in tasks]
+        summaries = [run_task(t) for t in tasks]
 
     aggregate = aggregate_summaries(summaries)
     if out_dir is not None:
@@ -233,27 +203,44 @@ def read_runs_csv(path: str) -> list[RunSummary]:
 
 def aggregate_summaries(summaries: Sequence[RunSummary]) -> list[dict]:
     """Mean / st.dev / variance / median / max / min per column, plus the
-    sign counts of the relative-difference columns (AGGREGATE_REDUCERS).
+    sign counts of the relative-difference columns, one row per statistic.
 
     Statistics skip missing (blank) values; st.dev and variance are the
-    population forms, so a single run aggregates with zero spread.
+    population forms, so a single run aggregates with zero spread. A blank
+    cell is the `math.nan` object itself, so that equal aggregates compare
+    equal with `==`.
 
     Each column is built as float64, so summaries held in memory and the
     same summaries read back from runs.csv aggregate to the same bytes:
     `format_field` writes every double so that `float()` parses it back
     exactly, integer counts included.
     """
-    rows = {stat: {"statistic": stat} for stat in AGGREGATE_REDUCERS}
+    rows = {
+        stat: {"statistic": stat}
+        for stat in (
+            "average", "st_dev", "variance", "median", "maxima", "minima",
+            "n_io_gt_rbv", "n_rbv_gt_io", "pct_io_gt_rbv", "pct_rbv_gt_io",
+        )
+    }
     for col, cycle, name in _checkpoint_columns(summaries):
         values = np.array(
             [s.checkpoints.get(cycle, {}).get(name, math.nan) for s in summaries],
             dtype=float,
         )
         finite = values[~np.isnan(values)]
+        n = len(finite)
+        for stat, reduce in zip(rows, (np.mean, np.std, np.var, np.median, np.max, np.min)):
+            rows[stat][col] = float(reduce(finite)) if n else math.nan
+        # The sign rows count the signs of rd_* = (IO - RBV) / RBV, which
+        # read IO > RBV as RBV > IO in a run whose RBV value is negative, so
+        # they are not win tallies. Other columns leave them blank.
         rd_column = name in RELATIVE_DIFF_FIELDS
-        for stat, (reduce, rd_only) in AGGREGATE_REDUCERS.items():
-            value = reduce(finite) if rd_column or not rd_only else math.nan
-            rows[stat][col] = value
+        n_io = float(np.count_nonzero(finite > 0)) if rd_column else math.nan
+        n_rbv = float(np.count_nonzero(finite < 0)) if rd_column else math.nan
+        rows["n_io_gt_rbv"][col] = n_io
+        rows["n_rbv_gt_io"][col] = n_rbv
+        rows["pct_io_gt_rbv"][col] = 100.0 * n_io / n if rd_column and n else math.nan
+        rows["pct_rbv_gt_io"][col] = 100.0 * n_rbv / n if rd_column and n else math.nan
     return list(rows.values())
 
 

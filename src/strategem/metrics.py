@@ -124,20 +124,16 @@ def checkpoint_stats(firms: Sequence[Firm]) -> dict[str, float]:
     for name, (io_col, rbv_col) in RELATIVE_DIFF_FIELDS.items():
         stats[name] = relative_diff(stats[io_col], stats[rbv_col])
 
-    # Each RBV firm is classified against its own market's alive IO firms,
-    # in firm order, which is all of `firms` that classify_rbv's filter keeps.
-    io_by_market: dict[int, list[Firm]] = {}
+    # Each RBV firm is classified against the firms on its own market, in
+    # firm order; classify_rbv keeps the alive IO ones.
+    by_market: dict[int | None, list[Firm]] = {}
     for firm in firms:
-        if firm.alive and firm.market is not None and firm.strategy is Strategy.IO:
-            io_by_market.setdefault(firm.market, []).append(firm)
-    counts = dict.fromkeys(RbvProfile, 0)
-    perf_sums = dict.fromkeys(RbvProfile, 0.0)
+        by_market.setdefault(firm.market, []).append(firm)
+    perfs: dict[RbvProfile, list[float]] = {profile: [] for profile in RbvProfile}
     for firm in firms:
         if firm.strategy is Strategy.RBV:
-            profile = classify_rbv(firm, io_by_market.get(firm.market, ()))
-            counts[profile] += 1
-            perf_sums[profile] += firm.total_perf
-    for profile, n in counts.items():
-        stats[f"n_{profile.value}"] = n
-        stats[f"perf_{profile.value}"] = perf_sums[profile] / n if n else math.nan
+            perfs[classify_rbv(firm, by_market[firm.market])].append(firm.total_perf)
+    for profile, values in perfs.items():
+        stats[f"n_{profile.value}"] = len(values)
+        stats[f"perf_{profile.value}"] = _avg(values) if values else math.nan
     return stats

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from strategem import experiment
 from strategem.cli import main
 from strategem.config import dump_config, load_config
 
@@ -128,6 +129,16 @@ class TestRun:
         code = main(["batch", "--seed", "42", "--runs", "1", "--trace", *small, "--out", batch])
         assert code == 0
         assert open(os.path.join(batch, "traces", "run_0.csv"), "rb").read() == trace
+
+    def test_failing_run_names_run_0_and_its_seed(self, tmp_path, capsys, monkeypatch):
+        def failing_run_one(*args, **kwargs):
+            raise ArithmeticError("boom")
+
+        monkeypatch.setattr(experiment, "run_one", failing_run_one)
+        out = str(tmp_path / "out")
+        assert main(["run", "--seed", "42", "--cycles", "1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"runtime error: run 0 (seed {experiment.derive_seed(42, 0)}) failed: boom" in err
 
 
 class TestBatchAndAggregate:

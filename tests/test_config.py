@@ -203,13 +203,30 @@ class TestDomains:
     def test_accepts_a_value_just_inside_an_excluded_end(self, name, value):
         SimConfig(**{name: value}).validate()
 
+    def test_mix_alphas_at_their_bound_draw_bundles_of_their_drawn_total(self):
+        # numpy's dirichlet returns [0, 0, 0] from 1e308 on; at the bound the
+        # mix is still the even thirds it tends to.
+        config = SimConfig(
+            n_firms=4, n_markets=3, barrier_mix_alpha=MAX_SCALE, resource_mix_alpha=MAX_SCALE
+        )
+        config.validate()
+        world = World(config, np.random.Generator(np.random.PCG64(0)))
+        for bundles, (lo, hi) in (
+            ([m.barrier for m in world.markets], config.barrier_sum_range),
+            ([f.resources for f in world.firms], config.resource_sum_range),
+        ):
+            for bundle in bundles:
+                assert lo <= sum(bundle.as_tuple()) <= hi
+
     @pytest.mark.parametrize(
         "make,name,value,message",
         [
             (SimConfig, "noise_amplitude", 1.0, "noise_amplitude must be in [0, 1), not 1.0"),
             (SimConfig, "maintenance_rate", 1.0, "maintenance_rate must be in [0, 1), not 1.0"),
             (BatchConfig, "parallelism", 65, "parallelism must be in [1, 64], not 65"),
-            (SimConfig, "barrier_mix_alpha", 0.0, "barrier_mix_alpha must be in (0, inf), not 0.0"),
+            (SimConfig, "barrier_mix_alpha", 0.0, "barrier_mix_alpha must be in (0, 1e+100], not 0.0"),
+            (SimConfig, "barrier_mix_alpha", 1e308,
+             "barrier_mix_alpha must be in (0, 1e+100], not 1e+308"),
             (SimConfig, "share_value_range", (0.0, 1.0),
              "share_value_range must be in (0, 1e+100] elementwise, start <= end, not (0.0, 1.0)"),
             (SimConfig, "barrier_range", (5.0, 1.0),

@@ -142,10 +142,18 @@ class TestAggregate:
         assert rows["median"]["c20_best_io"] == pytest.approx(15.0)
         assert rows["maxima"]["c20_best_io"] == 20.0
         assert rows["minima"]["c20_best_io"] == 10.0
-        # IO-vs-RBV win tallies come from the relative-difference signs
+        # The sign rows count the signs of the relative-difference columns
         assert rows["n_io_gt_rbv"]["c20_rd_best"] == 1.0
         assert rows["n_rbv_gt_io"]["c20_rd_best"] == 1.0
         assert rows["pct_io_gt_rbv"]["c20_rd_best"] == pytest.approx(50.0)
+        assert rows["pct_rbv_gt_io"]["c20_rd_best"] == pytest.approx(50.0)
+        # ... and are blank on every other column
+        for stat in ("n_io_gt_rbv", "n_rbv_gt_io", "pct_io_gt_rbv", "pct_rbv_gt_io"):
+            assert math.isnan(rows[stat]["c20_best_io"])
+        # rd_all is blank in both runs: no signs to count, no share of them
+        assert rows["n_io_gt_rbv"]["c20_rd_all"] == rows["n_rbv_gt_io"]["c20_rd_all"] == 0.0
+        assert math.isnan(rows["pct_io_gt_rbv"]["c20_rd_all"])
+        assert math.isnan(rows["pct_rbv_gt_io"]["c20_rd_all"])
 
     def test_aggregate_is_pure_function_of_rows(self, tmp_path):
         batch = BatchConfig(n_runs=4, base_seed=9, sim=small_sim())

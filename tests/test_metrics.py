@@ -164,9 +164,20 @@ class TestClassifyRbv:
             )
             for i in range(100)
         ]
+        bins = {profile: [] for profile in RbvProfile}
         for firm in firms:
             if firm.strategy is Strategy.RBV:
-                assert classify_rbv(firm, firms) in RbvProfile
+                bins[classify_rbv(firm, firms)].append(firm.total_perf)
+        # The checkpoint row holds the same bins, dead and unplaced firms
+        # included, with their means added left to right.
+        stats = checkpoint_stats(firms)
+        for profile, perfs in bins.items():
+            assert stats[f"n_{profile.value}"] == len(perfs)
+            mean = stats[f"perf_{profile.value}"]
+            if perfs:
+                assert mean == metrics._avg(perfs)
+            else:
+                assert math.isnan(mean)
 
 
 class TestCheckpointStats:
@@ -192,6 +203,7 @@ class TestCheckpointStats:
             make_firm(2, Strategy.IO, 9.0, market=2),
             make_firm(3, Strategy.RBV, 4.0, market=2),  # below its rival: convenience
             make_firm(4, Strategy.RBV, 5.0, market=3),  # no IO rival: convenience
+            make_firm(5, Strategy.IO, 1.0, market=3, alive=False),  # dead: not a rival of firm 4
         ]
         stats = checkpoint_stats(firms)
         assert stats["n_soul_mate"] == 1 and stats["perf_soul_mate"] == 3.0
