@@ -130,8 +130,8 @@ TRACE_COLUMNS = (
 FLOAT_FORMAT = "%.17g"
 
 # One trace row: run, cycle, firm, strategy, market, cash, the bundle's
-# "red,green,blue" text, tr, tc, profit, roa, total_perf, alive.
-_TRACE_ROW = "%s,%s,%s,%s,%s,{0},%s,{0},{0},{0},{0},{0},%s\n".format(FLOAT_FORMAT)
+# "red,green,blue" text, the tr text, tc, profit, roa, total_perf, alive.
+_TRACE_ROW = "%s,%s,%s,%s,%s,{0},%s,%s,{0},{0},{0},{0},%s\n".format(FLOAT_FORMAT)
 # The strategy column's text; `Enum.value` is a property, slow once per row.
 _IO_TEXT, _RBV_TEXT = Strategy.IO.value, Strategy.RBV.value
 
@@ -490,22 +490,26 @@ def write_trace_header(out: IO[str]) -> None:
 
 def write_trace_rows(out: IO[str], world: World) -> None:
     """Append one CSV row per firm of `world`, in TRACE_COLUMNS order, with
-    one write.
+    one format and one write.
 
-    Each row is one `_TRACE_ROW` format. Its bundle text comes from
-    `World.trace_bundles`, which keeps the component objects the text was
-    made from and makes it again once any component is another object:
-    an untouched component stays the same object, while equal values can
-    print differently (0.0 and -0.0). A row that holds a NaN joins the
-    same values through `format_field` instead, since `%.17g` prints NaN as
-    "nan", where `format_field` prints a blank; it returns the text and int
-    values unchanged. The float columns start as floats (`_init_firms`
-    converts `initial_cash`) and the engine stores only floats in them.
+    The cycle's values go into one flat list, formatted by `_TRACE_ROW`
+    repeated once per firm. Two texts are kept by object identity, since
+    an untouched value stays the same object while equal values can print
+    differently (0.0 and -0.0): the bundle text in `World.trace_bundles`,
+    made again once any component is another object, and the `tr` text
+    from `format_field`, kept per market for this call, as the occupants
+    of a market hold its one payout float. If the cycle's text holds a
+    NaN, its rows are joined through `format_field` instead, since `%.17g`
+    prints NaN as "nan", where `format_field` prints a blank; it returns
+    the text and int values unchanged. The float columns start as floats
+    (`_init_firms` converts `initial_cash`) and the engine stores only
+    floats in them.
     """
     run_id, cycle = world.run_id, world.cycle
     bundles = world.trace_bundles
     io = Strategy.IO
-    rows = []
+    payouts: dict[int | None, tuple[float, str]] = {}
+    values: list = []
     for firm in world.firms:
         res = firm.resources
         red, green, blue = res.red, res.green, res.blue
@@ -517,23 +521,30 @@ def write_trace_rows(out: IO[str], world: World) -> None:
                 blue,
                 f"{format_field(red)},{format_field(green)},{format_field(blue)}",
             )
-        values = (
+        market, revenue = firm.market, firm.revenue
+        payout = payouts.get(market)
+        if payout is None or payout[0] is not revenue:
+            payout = payouts[market] = (revenue, format_field(revenue))
+        values += (
             run_id,
             cycle,
             firm.id,
             _IO_TEXT if firm.strategy is io else _RBV_TEXT,
-            "" if firm.market is None else firm.market,
+            "" if market is None else market,
             firm.cash,
             memo[3],
-            firm.revenue,
+            payout[1],
             firm.cost,
             firm.profit,
             firm.instant_perf,
             firm.total_perf,
             "true" if firm.alive else "false",
         )
-        row = _TRACE_ROW % values
-        if "nan" in row:
-            row = ",".join(map(format_field, values)) + "\n"
-        rows.append(row)
-    out.write("".join(rows))
+    text = _TRACE_ROW * len(world.firms) % tuple(values)
+    if "nan" in text:
+        width = _TRACE_ROW.count("%")
+        text = "".join(
+            ",".join(map(format_field, values[i : i + width])) + "\n"
+            for i in range(0, len(values), width)
+        )
+    out.write(text)

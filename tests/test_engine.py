@@ -824,6 +824,24 @@ class TestTraceRows:
         res.green = 0.0
         assert _trace_text(world).splitlines()[1].split(",")[7] == "0"
 
+    def test_payout_text_follows_the_revenue_object(self):
+        world = make_world(seed=5, n_firms=6, n_markets=2)
+        world.step_cycle()
+        zero = 0.0
+        *shared, unplaced, negative, nan = world.firms
+        for firm in shared:
+            firm.market, firm.revenue = 0, zero
+        unplaced.market, unplaced.revenue = None, 1.5
+        # Equal to the shared payout, but printed differently.
+        negative.market, negative.revenue = 0, -0.0
+        nan.market, nan.cash = 1, math.nan
+        text = _trace_text(world)
+        assert text == _fielded_rows(world)
+        assert text.splitlines()[4].split(",")[9] == "-0"
+        # The NaN fallback covers one cycle's write only.
+        nan.cash = 1.0
+        assert _trace_text(world) == _fielded_rows(world)
+
 
 class TestWholeRunInvariants:
     def test_long_run_bookkeeping(self):
