@@ -508,8 +508,8 @@ def write_trace_rows(out: IO[str], world: World) -> None:
     run_id, cycle = world.run_id, world.cycle
     bundles = world.trace_bundles
     io = Strategy.IO
-    payouts: dict[int | None, tuple[float, str]] = {}
-    values: list = []
+    payouts = {}
+    values = []
     for firm in world.firms:
         res = firm.resources
         red, green, blue = res.red, res.green, res.blue
