@@ -129,9 +129,10 @@ TRACE_COLUMNS = (
 # double back exactly.
 FLOAT_FORMAT = "%.17g"
 
-# One trace row: run, cycle, firm, strategy, market, cash, the bundle's
-# "red,green,blue" text, the tr text, tc, profit, roa, total_perf, alive.
-_TRACE_ROW = "%s,%s,%s,%s,%s,{0},%s,%s,{0},{0},{0},{0},%s\n".format(FLOAT_FORMAT)
+# One trace row after the cycle's "run_id,cycle," text: the firm's
+# "id,strategy" text, market, cash, the bundle's "red,green,blue" text, the
+# tr text, tc, profit, roa, total_perf, alive.
+_TRACE_ROW = "%s,%s,{0},%s,%s,{0},{0},{0},{0},%s\n".format(FLOAT_FORMAT)
 # The strategy column's text; `Enum.value` is a property, slow once per row.
 _IO_TEXT, _RBV_TEXT = Strategy.IO.value, Strategy.RBV.value
 
@@ -265,8 +266,9 @@ class World:
         # RBV firm id -> (bundle, its rbv_candidate market, its barrier_deficit
         # there); see the module docstring
         self.rbv_candidates: dict[int, tuple[tuple[float, ...], Market, ResourceBundle]] = {}
-        # firm id -> (red, green, blue, their "r,g,b" trace text); see write_trace_rows
-        self.trace_bundles: dict[int, tuple[float, float, float, str]] = {}
+        # firm id -> ("id,strategy" trace text, red, green, blue, their "r,g,b"
+        # trace text); see write_trace_rows
+        self.trace_texts: dict[int, tuple[str, float, float, float, str]] = {}
         self.sfm = SfmState(
             stock=ResourceBundle(
                 config.initial_stock, config.initial_stock, config.initial_stock
@@ -492,30 +494,37 @@ def write_trace_rows(out: IO[str], world: World) -> None:
     """Append one CSV row per firm of `world`, in TRACE_COLUMNS order, with
     one format and one write.
 
-    The cycle's values go into one flat list, formatted by `_TRACE_ROW`
-    repeated once per firm. Two texts are kept by object identity, since
-    an untouched value stays the same object while equal values can print
-    differently (0.0 and -0.0): the bundle text in `World.trace_bundles`,
-    made again once any component is another object, and the `tr` text
-    from `format_field`, kept per market for this call, as the occupants
-    of a market hold its one payout float. If the cycle's text holds a
-    NaN, its rows are joined through `format_field` instead, since `%.17g`
-    prints NaN as "nan", where `format_field` prints a blank; it returns
-    the text and int values unchanged. The float columns start as floats
-    (`_init_firms` converts `initial_cash`) and the engine stores only
-    floats in them.
+    The cycle's "run_id,cycle," text (each `%s` of its value) starts the
+    row template, and the cycle's other values go into one flat list,
+    formatted by that template repeated once per firm. Texts are kept in
+    `World.trace_texts`, once per run for a firm's "id,strategy" (neither
+    changes in a run) and by object identity for its bundle, since an
+    untouched value stays the same object while equal values can print
+    differently (0.0 and -0.0): the bundle text is made again once any
+    component is another object. The `tr` text from `format_field` is kept
+    per market for this call, as the occupants of a market hold its one
+    payout float. The row text's letters come from "IO", "RBV", "true",
+    "false" and the exponent "e", so an "n" in it is inside a "nan" or an
+    "inf"; then its rows are joined through `format_field` instead, since
+    `%.17g` prints NaN as "nan", where `format_field` prints a blank, and
+    inf as `%.17g` does; it returns the text and int values unchanged. The
+    float columns start as floats (`_init_firms` converts `initial_cash`)
+    and the engine stores only floats in them.
     """
-    run_id, cycle = world.run_id, world.cycle
-    bundles = world.trace_bundles
+    prefix = "%s,%s," % (world.run_id, world.cycle)
+    texts = world.trace_texts
     io = Strategy.IO
     payouts = {}
     values = []
     for firm in world.firms:
         res = firm.resources
         red, green, blue = res.red, res.green, res.blue
-        memo = bundles.get(firm.id)
-        if memo is None or memo[0] is not red or memo[1] is not green or memo[2] is not blue:
-            memo = bundles[firm.id] = (
+        memo = texts.get(firm.id)
+        if memo is None or memo[1] is not red or memo[2] is not green or memo[3] is not blue:
+            memo = texts[firm.id] = (
+                "%s,%s" % (firm.id, _IO_TEXT if firm.strategy is io else _RBV_TEXT)
+                if memo is None
+                else memo[0],
                 red,
                 green,
                 blue,
@@ -526,13 +535,10 @@ def write_trace_rows(out: IO[str], world: World) -> None:
         if payout is None or payout[0] is not revenue:
             payout = payouts[market] = (revenue, format_field(revenue))
         values += (
-            run_id,
-            cycle,
-            firm.id,
-            _IO_TEXT if firm.strategy is io else _RBV_TEXT,
+            memo[0],
             "" if market is None else market,
             firm.cash,
-            memo[3],
+            memo[4],
             payout[1],
             firm.cost,
             firm.profit,
@@ -540,11 +546,11 @@ def write_trace_rows(out: IO[str], world: World) -> None:
             firm.total_perf,
             "true" if firm.alive else "false",
         )
-    text = _TRACE_ROW * len(world.firms) % tuple(values)
-    if "nan" in text:
+    text = (prefix + _TRACE_ROW) * len(world.firms) % tuple(values)
+    if "n" in text:
         width = _TRACE_ROW.count("%")
         text = "".join(
-            ",".join(map(format_field, values[i : i + width])) + "\n"
+            prefix + ",".join(map(format_field, values[i : i + width])) + "\n"
             for i in range(0, len(values), width)
         )
     out.write(text)

@@ -842,6 +842,38 @@ class TestTraceRows:
         nan.cash = 1.0
         assert _trace_text(world) == _fielded_rows(world)
 
+    def test_default_world_text_holds_no_n(self):
+        # The NaN fallback runs whenever a cycle's text holds an "n"; a
+        # token with one (such as "none") would send every cycle down it.
+        world = make_world(seed=6)
+        for _ in range(4):
+            assert "n" not in _trace_text(world)
+            world.step_cycle()
+
+    def test_inf_without_nan_matches_per_field_rows(self):
+        world = make_world(seed=7, n_firms=4, n_markets=2)
+        world.step_cycle()
+        world.firms[0].cash = math.inf
+        world.firms[2].total_perf = -math.inf
+        text = _trace_text(world)
+        assert "nan" not in text
+        assert text == _fielded_rows(world)
+        assert text.splitlines()[0].split(",")[5] == "inf"
+
+    def test_run_cycle_and_firm_texts_follow_the_run(self):
+        # Dead firms and alive firms without a market by cycle 12.
+        cfg = SimConfig(
+            n_firms=20, n_markets=5, maintenance_rate=0.05, initial_cash=1.0, bankruptcy_grace=3
+        )
+        world = World(cfg, np.random.Generator(np.random.PCG64(8)), run_id=123456789)
+        for _ in range(12):
+            world.step_cycle()
+            text = _trace_text(world)
+            assert text == _fielded_rows(world)
+        assert {line[:13] for line in text.splitlines()} == {"123456789,12,"}
+        assert any(not firm.alive for firm in world.firms)
+        assert any(firm.alive and firm.market is None for firm in world.firms)
+
 
 class TestWholeRunInvariants:
     def test_long_run_bookkeeping(self):
