@@ -503,13 +503,13 @@ def write_trace_rows(out: IO[str], world: World) -> None:
     differently (0.0 and -0.0): the bundle text is made again once any
     component is another object. The `tr` text from `format_field` is kept
     per market for this call, as the occupants of a market hold its one
-    payout float. The row text's letters come from "IO", "RBV", "true",
-    "false" and the exponent "e", so an "n" in it is inside a "nan" or an
-    "inf"; then its rows are joined through `format_field` instead, since
-    `%.17g` prints NaN as "nan", where `format_field` prints a blank, and
-    inf as `%.17g` does; it returns the text and int values unchanged. The
-    float columns start as floats (`_init_firms` converts `initial_cash`)
-    and the engine stores only floats in them.
+    payout float. Beside "IO", "RBV", "true", "false" and the exponent "e",
+    the text's only letters are those of "nan" and "inf", so a cycle whose
+    text holds an "n" is joined again row by row through `format_field`:
+    it prints NaN as a blank where `%.17g` prints "nan", prints inf as
+    `%.17g` does, and returns the text and int values unchanged. The float
+    columns start as floats (`_init_firms` converts `initial_cash`) and the
+    engine stores only floats in them.
     """
     prefix = "%s,%s," % (world.run_id, world.cycle)
     texts = world.trace_texts
