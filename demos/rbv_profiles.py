@@ -1,9 +1,10 @@
 """The three fates of a resource-driven firm.
 
 Runs one simulation and sorts the RBV population into wallflowers (never
-entered a market), convenience marriages (entered an uncontested or
-low-return market), and soul mates (outperforming IO rivals on a shared
-market). Run with:
+entered a market), convenience marriages (on a market with no live IO
+occupant, or on a shared market without beating the mean total
+performance of its live IO occupants), and soul mates (beating that mean
+on a shared market). Run with:
 
     python3 demos/rbv_profiles.py [seed]
 """
@@ -42,9 +43,10 @@ def main():
             )
             print(f"      e.g. firm {firm.id:3d}: perf {firm.total_perf:7.3f} ({where})")
     print(
-        "\nSoul mates hold their ground against IO competition; convenience"
-        "\nmarriages survive quietly on uncontested markets; wallflowers never"
-        "\nfound a fit and bleed maintenance costs."
+        "\nSoul mates beat the mean of the live IO firms on their market;"
+        "\nconvenience marriages hold a market with no live IO firm, or do not"
+        "\nbeat that mean on a shared one; wallflowers never found a fit and"
+        "\nbleed maintenance costs."
     )
 
 

@@ -4,77 +4,22 @@ One `World` owns all mutable state for a run and a private RNG stream;
 `step_cycle` advances it one period in a fixed order, so two worlds built
 from the same config and seed produce bit-identical histories.
 
-Cycle order: a prepare pass, then firms act (choose / trade / enter) in
-ascending id, share values and factor prices update, and one settlement
-pass walks the live firms: each is paid, charged its costs, and has its
-ROA and survival settled. The payout reads the column and the prices that
-the acting phase left, taken before the update, and the update reads no
-firm state, so this order gives the bytes of the model's order (pay out,
-then update).
+Cycle order: four phases, each a method that hands the next what it needs
+as arguments and return values. `_prepare` zeroes the cycle's flows and
+draws its random numbers, in `_act` firms choose, trade and enter in
+ascending id, `_revalue` updates share values and factor prices, and
+`_settle` pays, charges and scores each live firm and settles its
+survival. The payout reads the column and the prices that `_act` left,
+taken before `_revalue`, and `_revalue` reads no firm state, so this
+order gives the bytes of the model's order (pay out, then update).
 
-The prepare pass walks every firm once. It zeroes the cycle's `revenue`,
-`cost` and `profit` on every firm, and `instant_perf` on the dead, which
-is what keeps a dead firm frozen at 0.0 flows (see `Firm`). It lists the
-actors, in ascending id: the live IO firms and the live RBV firms with no
-market. Locked-in RBV firms and the dead never reach the acting loop.
-Nothing in the acting phase changes a firm's `alive` flag or the market of
-any firm but the one acting, so the list holds for the whole phase.
-
-Each cycle draws all its random numbers with one `rng.random(k)` call. The
-block holds, in actor order, `n_markets` draws for each IO actor and one
-for each RBV actor, only while the cycle's estimation error
-`noise_amplitude / cycle` is above zero; after those come `n_markets`
-share-value draws and 3 price draws. The prepare pass counts its size, and
-the block holds the same doubles that separate draws in that order would
-give.
-
-IO firms choose with `strategy.io_choose_market` over a column of
-`market_attractiveness` values, a local of `step_cycle` built at the top
-of each cycle and rewritten by its entry block for the markets joined and
-left. `_init_markets` gives each market its list position as its id, so
-the column's positions are the market ids. Nothing else moves occupancy or
-share values in the acting phase, so the same column then pays each
-occupant its equal share, `shares * share_value / occupants`.
-
-RBV firms choose with `strategy.rbv_choose_market`, passed the candidate
-market of `strategy.rbv_candidate` and the firm's `strategy.barrier_deficit`
-there, as a `ResourceBundle` that the chooser prices. `World.rbv_candidates`
-remembers both for the bundle they were found for, so the many output sales
-by firms whose bundle has not moved rebuild neither. Both depend only on the
-bundle, the barriers and `literal_distance_sign`; barriers are drawn once
-in `_init_markets` and the sign is fixed per run, so a bundle key is
-enough. A firm whose bundle differs from its key, after any trade, is
-scanned afresh; the key is the bundle's values, so no trade path has to
-clear it. (Bundles equal in value can differ in a zero's sign, and their
-deficits then only at a `-0.0` barrier component, which `_draw_bundle`
-never draws.)
-
-Both strategies enter through one block at the end of the acting loop. It
-buys only when the bundle is short of the barrier in some component, which,
-the components being finite, is exactly when `strategy.barrier_deficit` has
-a component above zero (a `-0.0` against a `0.0` is short in neither
-order). It buys that deficit through `sfm_buy` and books the purchase in the
-cycle's trade tallies, which like the column are locals of `step_cycle`,
-so it adds no attribute to `World`; a bundle that meets the barrier joins
-without buying. Every full purchase joins too: it leaves each component at
-`r + max(b - r, 0)`, the barrier up to the rounding of that one sum, so the
-block does not test the bundle against the barrier again. Such a test
-would need a tolerance, and for barriers as large as `validate()` accepts
-the rounding passes any absolute one (1e-9 near `b` = 1e10), so the test
-would keep out a firm that had paid.
-
-One formula is restated inline: the payout's maintenance base, cash plus
-the bundle at the prices taken before the update, in the operation order
-of `model.total_asset_value`. A call would need those prices in an
-`SfmState` of their own, and costs more per run than the inline sum.
-Settlement's ROA, `profit / assets` or 0.0 for assets at or below zero,
-restates nothing: that line is its one definition.
 The calls that a function-wrapping tracer counts by name stay calls, as
-often as before: the choosers once per actor, `sfm_buy` and `sfm_sell` once
-per trade, `update_share_value` once per market, `update_sfm_prices` once
-per cycle, and `total_asset_value` and `survival_check` once per firm alive
-at settlement (`tests/test_engine.py::TestTracerHooks` and
-`perfbench/tracer.py`). `step_cycle` calls them by their names on this
+often as before: in `_act`, the choosers once per actor and `sfm_buy` and
+`sfm_sell` once per trade; in `_revalue`, `update_share_value` once per
+market and `update_sfm_prices` once per cycle; in `_settle`,
+`total_asset_value` and `survival_check` once per firm alive at
+settlement (`tests/test_engine.py::TestTracerHooks` and
+`perfbench/tracer.py`). The phases call them by their names on this
 module, so a function swapped there for a run is the one called.
 """
 
@@ -264,7 +209,7 @@ class World:
         self.markets = self._init_markets()
         self.firms = self._init_firms()
         # RBV firm id -> (bundle, its rbv_candidate market, its barrier_deficit
-        # there); see the module docstring
+        # there); see `_act`
         self.rbv_candidates: dict[int, tuple[tuple[float, ...], Market, ResourceBundle]] = {}
         # firm id -> ("id,strategy" trace text, red, green, blue, their "r,g,b"
         # trace text); see write_trace_rows
@@ -311,32 +256,44 @@ class World:
     # -- per-cycle machinery -------------------------------------------------
 
     def step_cycle(self) -> None:
-        cfg = self.config
-        rng = self.rng
-        markets = self.markets
-        firms = self.firms
-        sfm = self.sfm
+        """Advance the world one period: the four phases, in order."""
         self.cycle += 1
+        actors, eps, draws, k = self._prepare()
+        column, demand, supply, eps_p = self._act(actors, eps, draws, k)
+        # The payout's snapshots, taken before `_revalue` moves the prices.
+        payouts, prices = column.tolist(), self.sfm.prices
+        self._revalue(draws[k:].tolist(), demand, supply, eps_p)
+        self._settle(payouts, prices)
+
+    def _prepare(self) -> tuple[list[Firm], float, np.ndarray, int]:
+        """Return the actors, the estimation error `eps`, the cycle's draw
+        block and `k`, the size of its actor part.
+
+        The prepare pass walks every firm once. It zeroes the cycle's
+        `revenue`, `cost` and `profit` on every firm, and `instant_perf` on
+        the dead, which is what keeps a dead firm frozen at 0.0 flows (see
+        `Firm`). It lists the actors, in ascending id: the live IO firms and
+        the live RBV firms with no market. Locked-in RBV firms and the dead
+        never reach `_act`. Nothing in `_act` changes a firm's `alive` flag or
+        the market of any firm but the one acting, so the list holds for the
+        whole phase.
+
+        Each cycle draws all its random numbers with one `rng.random` call.
+        The block holds, in actor order, `n_markets` draws for each IO actor
+        and one for each RBV actor, only while `eps = noise_amplitude / cycle`
+        is above zero; after those come `n_markets` share-value draws and 3
+        price draws. The pass counts its size, and the block holds the same
+        doubles that separate draws in that order would give. Every firm was
+        founded at cycle 0, so all share one age, and older firms estimate
+        better.
+        """
+        n_markets = len(self.markets)
+        eps = self.config.noise_amplitude / self.cycle
         # A local: a lookup on the `Enum` class is slow once per firm.
         io = Strategy.IO
-
-        # The cycle's factor-market book: units bought and sold per type, and
-        # the units bought with their eps-weighted sum, for step (6).
-        demand_red = demand_green = demand_blue = 0.0
-        supply_red = supply_green = supply_blue = 0.0
-        demand_eps_weight = demand_units = 0.0
-
-        # The prepare pass: zero the cycle's flows, freeze the dead, list the
-        # firms that act and size their draw block (layout in the module
-        # docstring). Every firm was founded at cycle 0, so all share one
-        # age, and older firms estimate better. The acting phase walks one
-        # noise array with a cursor in actor order; it is empty, and never
-        # read, while k is 0.
-        n_markets = len(markets)
-        eps = cfg.noise_amplitude / self.cycle
         actors = []
         k = 0
-        for firm in firms:
+        for firm in self.firms:
             firm.revenue = firm.cost = firm.profit = 0.0
             if not firm.alive:
                 firm.instant_perf = 0.0
@@ -348,14 +305,66 @@ class World:
                 k += 1
         if not eps > 0.0:
             k = 0
-        draws = rng.random(k + n_markets + 3)
+        return actors, eps, self.rng.random(k + n_markets + 3), k
+
+    def _act(
+        self, actors: list[Firm], eps: float, draws: np.ndarray, k: int
+    ) -> tuple[np.ndarray, tuple, tuple, float]:
+        """(1)-(3) the actors choose, trade and enter in ascending id: each
+        decision sees the occupancy left by every earlier mover, so a crowd
+        disperses instead of piling onto one opportunity. Returns the column,
+        the units bought and sold per type, and `eps_p`. The actors walk the
+        noise of `draws[:k]` with a cursor, never read while k is 0.
+
+        IO firms choose with `strategy.io_choose_market` over a column of
+        `market_attractiveness` values, built at the top of the phase and
+        rewritten by its entry block for the markets joined and left.
+        `_init_markets` gives each market its list position as its id, so the
+        column's positions are the market ids. Nothing else moves occupancy or
+        share values in this phase, so the same column then pays each
+        occupant its equal share, `shares * share_value / occupants`.
+
+        RBV firms choose with `strategy.rbv_choose_market`, passed the
+        candidate market of `strategy.rbv_candidate` and the firm's
+        `strategy.barrier_deficit` there, as a `ResourceBundle` that the
+        chooser prices. `World.rbv_candidates` remembers both for the bundle
+        they were found for, so the many output sales by firms whose bundle
+        has not moved rebuild neither. Both depend only on the bundle, the
+        barriers and `literal_distance_sign`; barriers are drawn once in
+        `_init_markets` and the sign is fixed per run, so a bundle key is
+        enough. A firm whose bundle differs from its key, after any trade, is
+        scanned afresh; the key is the bundle's values, so no trade path has
+        to clear it. (Bundles equal in value can differ in a zero's sign, and
+        their deficits then only at a `-0.0` barrier component, which
+        `_draw_bundle` never draws.)
+
+        Both strategies enter through one block at the end of the loop. It
+        buys only when the bundle is short of the barrier in some component,
+        which, the components being finite, is exactly when
+        `strategy.barrier_deficit` has a component above zero (a `-0.0`
+        against a `0.0` is short in neither order). It buys that deficit
+        through `sfm_buy` and books the purchase in the phase's trade
+        tallies; a bundle that meets the barrier joins without buying. Every
+        full purchase joins too: it leaves each component at
+        `r + max(b - r, 0)`, the barrier up to the rounding of that one sum,
+        so the block does not test the bundle against the barrier again. Such
+        a test would need a tolerance, and for barriers as large as
+        `validate()` accepts the rounding passes any absolute one (1e-9 near
+        `b` = 1e10), so the test would keep out a firm that had paid.
+        """
+        cfg = self.config
+        markets = self.markets
+        sfm = self.sfm
+        n_markets = len(markets)
+        io = Strategy.IO
         noises = 1.0 + eps * (2.0 * draws[:k] - 1.0)
         pos = 0
 
-        # (1)-(3) firms act in ascending id against live market state: each
-        # decision sees the occupancy left by every earlier mover in the
-        # same cycle, so a crowd disperses instead of piling onto one
-        # opportunity.
+        # The cycle's factor-market book: units bought and sold per type, and
+        # the units bought with their eps-weighted sum, for `eps_p`.
+        demand_red = demand_green = demand_blue = 0.0
+        supply_red = supply_green = supply_blue = 0.0
+        demand_eps_weight = demand_units = 0.0
         column = np.array([market_attractiveness(m) for m in markets])
         candidates = self.rbv_candidates
         literal_sign, output_fraction = cfg.literal_distance_sign, cfg.output_fraction
@@ -421,36 +430,44 @@ class World:
             market.occupants += 1
             column[market.id] = market_attractiveness(market)
 
-        # The payout's snapshots, taken before step (6) moves the prices.
-        payouts = column.tolist()
-        price_red, price_green, price_blue = sfm.price_red, sfm.price_green, sfm.price_blue
+        # A units-weighted mean of `eps`, not `eps` itself: the two differ in
+        # the last bits, and the golden outputs pin these.
+        eps_p = demand_eps_weight / demand_units if demand_units > 0.0 else 0.0
+        demand = (demand_red, demand_green, demand_blue)
+        return column, demand, (supply_red, supply_green, supply_blue), eps_p
 
-        # (6) share values and factor prices update
-        tail_draws = draws[k:].tolist()
-        for market, u in zip(markets, tail_draws):
+    def _revalue(self, draws: list[float], demand: tuple, supply: tuple, eps_p: float) -> None:
+        """(6) share values and factor prices update, from the draw block's
+        tail: one draw per market, then 3 price draws."""
+        cfg = self.config
+        markets = self.markets
+        for market, u in zip(markets, draws):
             noise = 1.0 + cfg.value_noise * (2.0 * u - 1.0)
             market.share_value = update_share_value(
                 market, cfg.crowding, noise, cfg.value_floor
             )
-        # A units-weighted mean of `eps`, not `eps` itself: the two differ in
-        # the last bits, and the golden outputs pin these.
-        eps_p = demand_eps_weight / demand_units if demand_units > 0.0 else 0.0
-        price_noise = tuple(1.0 + eps_p * (2.0 * u - 1.0) for u in tail_draws[n_markets:])
+        price_noise = tuple(1.0 + eps_p * (2.0 * u - 1.0) for u in draws[len(markets):])
         update_sfm_prices(
-            sfm,
-            (demand_red, demand_green, demand_blue),
-            (supply_red, supply_green, supply_blue),
-            cfg.price_alpha,
-            price_noise,
-            cfg.price_floor,
+            self.sfm, demand, supply, cfg.price_alpha, price_noise, cfg.price_floor
         )
 
-        # One settlement pass: (4)-(5) each live firm is paid its market's
-        # cell and charged a share of `total_asset_value`, inlined at the
-        # snapshot prices; (7)-(8) its ROA at the updated prices, then
-        # survival.
-        maintenance_rate, grace = cfg.maintenance_rate, cfg.bankruptcy_grace
-        for firm in firms:
+    def _settle(self, payouts: list[float], prices: tuple[float, float, float]) -> None:
+        """One settlement pass: (4)-(5) each live firm is paid its market's
+        entry of `payouts` and charged a share of its assets at `prices`;
+        (7)-(8) its ROA at the live prices, then survival.
+
+        One formula is restated inline: the maintenance base, cash plus the
+        bundle at `prices`, in the operation order of
+        `model.total_asset_value`. A call would need those prices in an
+        `SfmState` of their own, and costs more per run than the inline sum.
+        The ROA, `profit / assets` or 0.0 for assets at or below zero,
+        restates nothing: this is its one definition.
+        """
+        markets = self.markets
+        sfm = self.sfm
+        price_red, price_green, price_blue = prices
+        maintenance_rate, grace = self.config.maintenance_rate, self.config.bankruptcy_grace
+        for firm in self.firms:
             if not firm.alive:
                 continue
             market_id = firm.market

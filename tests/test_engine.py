@@ -313,6 +313,25 @@ class TestStepCycle:
             world.step_cycle()
         assert set(vars(world)) == attributes
 
+    def test_step_cycle_runs_its_four_phases_in_order(self, monkeypatch):
+        phases = ("_prepare", "_act", "_revalue", "_settle")
+        order = []
+
+        def recording(name, method):
+            def wrapper(self, *args):
+                order.append(name)
+                return method(self, *args)
+
+            return wrapper
+
+        for name in phases:
+            monkeypatch.setattr(World, name, recording(name, getattr(World, name)))
+        world = make_world(seed=3)
+        cycles = 4
+        for _ in range(cycles):
+            world.step_cycle()
+        assert order == list(phases) * cycles
+
     def _recording_buys(self, monkeypatch):
         buys = []
 
@@ -427,6 +446,37 @@ class TestStepCycle:
             assert firm.profit == firm.revenue - firm.cost
             assert firm.cash == cash + (firm.revenue - firm.cost)
             assert firm.instant_perf == firm.profit / (firm.cash + (r * pr2 + g * pg2 + b * pb2))
+
+    def test_settle_pays_from_the_snapshot_it_is_handed(self):
+        # `_settle` pays the payout list and charges maintenance at the
+        # prices it is handed, not at the live column and factor prices; it
+        # values the ROA's assets at the live prices.
+        world = make_world(seed=6)
+        for _ in range(5):
+            world.step_cycle()
+        locked = [
+            f
+            for f in world.firms
+            if f.alive and f.strategy is Strategy.RBV and f.market is not None
+        ]
+        assert locked
+        payouts = [1000.0 + j for j in range(len(world.markets))]
+        pr, pg, pb = prices = (0.25, 4.0, 16.0)
+        live_prices = world.sfm.prices
+        assert prices != live_prices
+        # Called outside a cycle, `_settle` adds to the costs already booked.
+        before = {f.id: (f.cash, f.cost, f.total_perf, f.resources.as_tuple()) for f in locked}
+        world._settle(payouts, prices)
+        assert world.sfm.prices == live_prices
+        rate = world.config.maintenance_rate
+        for firm in locked:
+            cash, cost, total, (r, g, b) = before[firm.id]
+            maintenance = rate * (cash + (r * pr + g * pg + b * pb))
+            assert firm.revenue == payouts[firm.market]
+            assert firm.cost == cost + maintenance
+            assert firm.cash == cash + (payouts[firm.market] - maintenance)
+            assert firm.instant_perf == firm.profit / total_asset_value(firm, world.sfm)
+            assert firm.total_perf == total + firm.instant_perf
 
     def test_no_assets_read_zero_roa_and_die_that_cycle(self):
         # With no cash and no bundle, every barrier out of reach and output
