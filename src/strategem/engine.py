@@ -357,7 +357,12 @@ class World:
         sfm = self.sfm
         n_markets = len(markets)
         io = Strategy.IO
-        noises = 1.0 + eps * (2.0 * draws[:k] - 1.0)
+        # The noise factors 1.0 + eps * (2.0 * u - 1.0) in one array, built
+        # in place by the same double operations, so to the same values.
+        noises = draws[:k] * 2.0
+        noises -= 1.0
+        noises *= eps
+        noises += 1.0
         pos = 0
 
         # The cycle's factor-market book: units bought and sold per type, and
@@ -446,7 +451,12 @@ class World:
             market.share_value = update_share_value(
                 market, cfg.crowding, noise, cfg.value_floor
             )
-        price_noise = tuple(1.0 + eps_p * (2.0 * u - 1.0) for u in draws[len(markets):])
+        u_red, u_green, u_blue = draws[len(markets):]
+        price_noise = (
+            1.0 + eps_p * (2.0 * u_red - 1.0),
+            1.0 + eps_p * (2.0 * u_green - 1.0),
+            1.0 + eps_p * (2.0 * u_blue - 1.0),
+        )
         update_sfm_prices(
             self.sfm, demand, supply, cfg.price_alpha, price_noise, cfg.price_floor
         )

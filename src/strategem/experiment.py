@@ -13,21 +13,17 @@ count affects wall clock only, never output bytes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .config import BatchConfig, SimConfig
 from .engine import World, format_field, write_trace_header, write_trace_rows
 from .metrics import CHECKPOINT_FIELDS, RELATIVE_DIFF_FIELDS, checkpoint_stats
-
-# Runs a pool worker takes at a time. A batch starts at most one worker per
-# chunk, since a worker beyond that would get no chunk.
-CHUNKSIZE = 4
-
 
 @dataclass
 class RunSummary:
@@ -42,6 +38,15 @@ def derive_seed(base_seed: int, run_id: int) -> int:
     """Stable per-run seed: the first 64-bit word that the seed sequence
     (base_seed, run_id) generates. Part of the external contract."""
     return int(np.random.SeedSequence([base_seed, run_id]).generate_state(1, np.uint64)[0])
+
+
+def _checkpoint_cycles(config: SimConfig) -> list[int]:
+    """The cycles whose statistics a run of `config` records, ascending:
+    cycle 0 alone when the run has no cycles, else every checkpoint cycle
+    the run reaches."""
+    if config.n_cycles == 0:
+        return [0]
+    return sorted({c for c in config.checkpoint_cycles if c <= config.n_cycles})
 
 
 def run_one(
@@ -67,7 +72,7 @@ def run_one(
         summary.checkpoints[0] = checkpoint_stats(world.firms)
         return summary
 
-    checkpoints = set(config.checkpoint_cycles)
+    checkpoints = set(_checkpoint_cycles(config))
     for cycle in range(1, config.n_cycles + 1):
         world.step_cycle()
         if trace_out is not None:
@@ -102,13 +107,21 @@ def run_batch(
 ) -> tuple[list[RunSummary], list[dict]]:
     """Execute all runs, write runs.csv / aggregate.csv, return both tables.
 
-    Runs come back in id order from the pool and the serial loop alike. The
-    aggregate is taken from the summaries in memory, and `aggregate` run
-    later over runs.csv reproduces aggregate.csv byte for byte: runs.csv
-    writes each double with 17 significant digits, which parse back to the
-    same double (see `aggregate_summaries`). The pool module is imported
-    only when a batch starts a pool, so a process that runs no pool never
-    loads `multiprocessing`.
+    Pool workers take one run at a time, so a worker the host slows holds
+    up one run, not a chunk of them. A batch starts at most one worker per
+    run, so a one-run batch, like a one-worker batch, runs in the calling
+    process. The pool module is imported only when a batch starts a pool,
+    so a process that runs no pool never loads `multiprocessing`.
+
+    Runs come back in id order from the pool and the serial loop alike.
+    runs.csv gets its header before the first run and each run's row as it
+    arrives, so a failed run leaves the rows of every run before it and
+    raises its `run_task` error; aggregate.csv is written only after the
+    last run, and an earlier batch's is removed first. The aggregate is
+    taken from the summaries in memory, and `aggregate` run later over
+    runs.csv reproduces aggregate.csv byte for byte: runs.csv writes each
+    double with 17 significant digits, which parse back to the same double
+    (see `aggregate_summaries`).
     """
     batch.validate()
     if trace and out_dir is None:
@@ -121,19 +134,34 @@ def run_batch(
         (i, batch.base_seed, batch.sim, trace_dir and os.path.join(trace_dir, f"run_{i}.csv"))
         for i in range(batch.n_runs)
     ]
-    workers = min(batch.parallelism, math.ceil(batch.n_runs / CHUNKSIZE))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    summaries = []
+    with contextlib.ExitStack() as stack:
+        runs_csv = None
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, "aggregate.csv"))
+            # Line-buffered: each row reaches the file as it is written.
+            runs_csv = stack.enter_context(
+                open(os.path.join(out_dir, "runs.csv"), "w", buffering=1)
+            )
+            columns = _checkpoint_columns(_checkpoint_cycles(batch.sim))
+            runs_csv.write(_runs_header(columns))
+        workers = min(batch.parallelism, batch.n_runs)
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(run_task, tasks, chunksize=CHUNKSIZE))
-    else:
-        summaries = [run_task(t) for t in tasks]
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(run_task, tasks)
+        else:
+            results = map(run_task, tasks)
+        for summary in results:
+            summaries.append(summary)
+            if runs_csv is not None:
+                runs_csv.write(_runs_row(summary, columns))
 
     aggregate = aggregate_summaries(summaries)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_runs_csv(os.path.join(out_dir, "runs.csv"), summaries)
         write_aggregate_csv(os.path.join(out_dir, "aggregate.csv"), aggregate)
     return summaries, aggregate
 
@@ -141,24 +169,36 @@ def run_batch(
 # -- CSV serialization -------------------------------------------------------
 
 
-def _checkpoint_columns(summaries: Sequence[RunSummary]) -> Iterator[tuple[str, int, str]]:
-    """Yield (column, cycle, field name) for every per-checkpoint column of
-    runs.csv and aggregate.csv, in CSV order."""
-    for cycle in sorted({c for s in summaries for c in s.checkpoints}):
-        for name in CHECKPOINT_FIELDS:
-            yield f"c{cycle}_{name}", cycle, name
+def _recorded_cycles(summaries: Sequence[RunSummary]) -> list[int]:
+    """Every checkpoint cycle any of `summaries` records, ascending."""
+    return sorted({c for s in summaries for c in s.checkpoints})
+
+
+def _checkpoint_columns(cycles: Iterable[int]) -> list[tuple[str, int, str]]:
+    """(column, cycle, field name) for every per-checkpoint column of
+    runs.csv and aggregate.csv, in CSV order, given the ascending `cycles`."""
+    return [(f"c{cycle}_{name}", cycle, name) for cycle in cycles for name in CHECKPOINT_FIELDS]
+
+
+def _runs_header(columns: list[tuple[str, int, str]]) -> str:
+    return ",".join(["run_id", "seed"] + [col for col, _, _ in columns]) + "\n"
+
+
+def _runs_row(summary: RunSummary, columns: list[tuple[str, int, str]]) -> str:
+    """One runs.csv line; a checkpoint the run did not record is blank."""
+    values = [str(summary.run_id), str(summary.seed)]
+    for _, cycle, name in columns:
+        stats = summary.checkpoints.get(cycle)
+        values.append(format_field(stats[name]) if stats else "")
+    return ",".join(values) + "\n"
 
 
 def write_runs_csv(path: str, summaries: Sequence[RunSummary]) -> None:
-    columns = list(_checkpoint_columns(summaries))
+    columns = _checkpoint_columns(_recorded_cycles(summaries))
     with open(path, "w") as fh:
-        fh.write(",".join(["run_id", "seed"] + [col for col, _, _ in columns]) + "\n")
+        fh.write(_runs_header(columns))
         for s in summaries:
-            values = [str(s.run_id), str(s.seed)]
-            for _, cycle, name in columns:
-                stats = s.checkpoints.get(cycle)
-                values.append(format_field(stats[name]) if stats else "")
-            fh.write(",".join(values) + "\n")
+            fh.write(_runs_row(s, columns))
 
 
 def read_runs_csv(path: str) -> list[RunSummary]:
@@ -222,7 +262,7 @@ def aggregate_summaries(summaries: Sequence[RunSummary]) -> list[dict]:
             "n_io_gt_rbv", "n_rbv_gt_io", "pct_io_gt_rbv", "pct_rbv_gt_io",
         )
     }
-    for col, cycle, name in _checkpoint_columns(summaries):
+    for col, cycle, name in _checkpoint_columns(_recorded_cycles(summaries)):
         values = np.array(
             [s.checkpoints.get(cycle, {}).get(name, math.nan) for s in summaries],
             dtype=float,

@@ -209,7 +209,7 @@ class TestBatchAndAggregate:
         assert not os.path.exists(out)
 
     def test_batch_with_two_workers(self, tmp_path):
-        # 5 runs are two chunks of run_batch's 4, so both workers start.
+        # 5 runs at parallelism 2 start both workers, each taking one run at a time.
         out = str(tmp_path / "out")
         code = main(
             ["batch", "--workers", "2", "--runs", "5", "--cycles", "3", "--out", out,

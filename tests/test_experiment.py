@@ -3,6 +3,7 @@ order-independent aggregation."""
 
 import concurrent.futures
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -177,12 +178,13 @@ class TestRunBatch:
         assert [s.run_id for s in summaries] == list(range(5))
         assert [s.seed for s in summaries] == [derive_seed(3, i) for i in range(5)]
 
-    def test_parallel_and_serial_outputs_are_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("n_runs", [3, 6])
+    def test_parallel_and_serial_outputs_are_byte_identical(self, tmp_path, n_runs):
         outputs = {}
         for workers in (1, 2):
             out = os.path.join(tmp_path, f"w{workers}")
             batch = BatchConfig(
-                n_runs=6, base_seed=17, sim=small_sim(), parallelism=workers
+                n_runs=n_runs, base_seed=17, sim=small_sim(), parallelism=workers
             )
             run_batch(batch, out_dir=out)
             outputs[workers] = {
@@ -190,6 +192,58 @@ class TestRunBatch:
                 for name in ("runs.csv", "aggregate.csv")
             }
         assert outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize(
+        "sim",
+        [
+            small_sim(n_cycles=0),
+            small_sim(n_cycles=30, checkpoint_cycles=(200, 20, 20)),
+            small_sim(checkpoint_cycles=()),
+        ],
+        ids=["no-cycles", "checkpoint-past-the-end", "no-checkpoints"],
+    )
+    def test_runs_csv_has_the_columns_of_its_summaries(self, tmp_path, sim):
+        # run_batch writes the header before any run, from the config; it
+        # must name the columns that the finished summaries hold.
+        summaries, _ = run_batch(BatchConfig(n_runs=2, sim=sim), out_dir=str(tmp_path))
+        write_runs_csv(str(tmp_path / "again.csv"), summaries)
+        assert (tmp_path / "runs.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            1,
+            pytest.param(2, marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="pool workers inherit the patched run_one only when forked",
+            )),
+        ],
+    )
+    def test_failed_run_keeps_the_rows_before_it(self, tmp_path, monkeypatch, workers):
+        def batch(out):
+            run_batch(
+                BatchConfig(n_runs=6, base_seed=5, sim=small_sim(), parallelism=workers),
+                out_dir=str(out),
+            )
+
+        batch(tmp_path / "whole")
+        whole = (tmp_path / "whole" / "runs.csv").read_text().splitlines(keepends=True)
+
+        def failing_run_one(seed, config, run_id=0, trace_out=None):
+            if run_id == 3:
+                raise ValueError("on purpose")
+            return run_one(seed, config, run_id=run_id, trace_out=trace_out)
+
+        # The pool's forked workers inherit the patch.
+        monkeypatch.setattr(experiment, "run_one", failing_run_one)
+        out = tmp_path / "failed"
+        out.mkdir()
+        (out / "aggregate.csv").write_text("an earlier batch's\n")
+        error = rf"^run 3 \(seed {derive_seed(5, 3)}\) failed: on purpose$"
+        with pytest.raises(RuntimeError, match=error):
+            batch(out)
+        assert (out / "runs.csv").read_text() == "".join(whole[:4])
+        assert not (out / "aggregate.csv").exists()
 
     def test_traces_written_during_the_only_pass(self, tmp_path, monkeypatch):
         calls = []
@@ -233,14 +287,16 @@ class TestRunBatch:
         BatchConfig(parallelism=config.MAX_PARALLELISM).validate()
 
     @pytest.mark.parametrize(
-        "n_runs,pools", [(3, []), (10, [3])], ids=["one-chunk-serial", "three-chunks"]
+        "n_runs,pools", [(1, []), (3, [3]), (10, [8])], ids=["one-run", "three-runs", "ten-runs"]
     )
-    def test_pool_starts_at_most_one_worker_per_chunk(self, monkeypatch, n_runs, pools):
-        # A stub executor records the pool size and runs the tasks in this
-        # process, so no worker process starts. Runs go out in chunks of 4:
-        # 3 runs are one chunk, run serially with no pool, and 10 runs are
-        # three chunks for three workers.
-        sizes = []
+    def test_pool_starts_one_worker_per_run_up_to_parallelism(
+        self, monkeypatch, n_runs, pools
+    ):
+        # A stub executor records the pool size and the chunk size of each
+        # dispatch, and runs the tasks in this process, so no worker process
+        # starts. Workers take one run at a time: a one-run batch runs with
+        # no pool, and a batch starts one worker per run, up to parallelism 8.
+        sizes, chunks = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -253,6 +309,7 @@ class TestRunBatch:
                 return False
 
             def map(self, fn, tasks, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, tasks)
 
         # run_batch imports the executor from concurrent.futures at pool start.
@@ -260,6 +317,7 @@ class TestRunBatch:
         batch = BatchConfig(n_runs=n_runs, base_seed=2, sim=small_sim(), parallelism=8)
         summaries, _ = run_batch(batch)
         assert sizes == pools
+        assert chunks == [1] * len(pools)
         assert [s.run_id for s in summaries] == list(range(n_runs))
 
     def test_import_loads_no_pool_module(self):
