@@ -21,6 +21,12 @@ market and `update_sfm_prices` once per cycle; in `_settle`,
 settlement (`tests/test_engine.py::TestTracerHooks` and
 `perfbench/tracer.py`). The phases call them by their names on this
 module, so a function swapped there for a run is the one called.
+
+A world of fewer than `_LIST_MARKETS` markets keeps `_act`'s
+attractiveness column and noise factors as Python lists, a larger one as
+numpy arrays. Both hold the same doubles, of which `io_choose_market`
+takes the same first maximum, so the two give the same bytes; on a few
+markets numpy's cost per call outweighs its per-element gain.
 """
 
 from __future__ import annotations
@@ -80,6 +86,11 @@ FLOAT_FORMAT = "%.17g"
 _TRACE_ROW = "%s,%s,{0},%s,%s,{0},{0},{0},{0},%s\n".format(FLOAT_FORMAT)
 # The strategy column's text; `Enum.value` is a property, slow once per row.
 _IO_TEXT, _RBV_TEXT = Strategy.IO.value, Strategy.RBV.value
+
+# The fewest markets whose column and noise factors are numpy arrays (see
+# the module docstring). Over whole 200-cycle runs, lists took 0.89x
+# numpy's CPU time at 5 markets, 1.01x at 10 and 1.19x at 20.
+_LIST_MARKETS = 10
 
 
 def update_share_value(
@@ -157,11 +168,12 @@ def update_sfm_prices(
     to a positive floor. Balanced trade with unit noise leaves the price
     unchanged.
     """
-    prices = []
-    for price, d, s, n in zip(sfm.prices, demand, supply, noise):
-        new = price * (1.0 + alpha * (d - s) / (d + s + 1.0)) * n
-        prices.append(max(new, floor))
-    sfm.price_red, sfm.price_green, sfm.price_blue = prices
+    dr, dg, db = demand
+    sr, sg, sb = supply
+    nr, ng, nb = noise
+    sfm.price_red = max(sfm.price_red * (1.0 + alpha * (dr - sr) / (dr + sr + 1.0)) * nr, floor)
+    sfm.price_green = max(sfm.price_green * (1.0 + alpha * (dg - sg) / (dg + sg + 1.0)) * ng, floor)
+    sfm.price_blue = max(sfm.price_blue * (1.0 + alpha * (db - sb) / (db + sb + 1.0)) * nb, floor)
 
 
 def survival_check(firm: Firm, asset_value: float, grace: int) -> bool:
@@ -261,7 +273,8 @@ class World:
         actors, eps, draws, k = self._prepare()
         column, demand, supply, eps_p = self._act(actors, eps, draws, k)
         # The payout's snapshots, taken before `_revalue` moves the prices.
-        payouts, prices = column.tolist(), self.sfm.prices
+        payouts = column if type(column) is list else column.tolist()
+        prices = self.sfm.prices
         self._revalue(draws[k:].tolist(), demand, supply, eps_p)
         self._settle(payouts, prices)
 
@@ -309,7 +322,7 @@ class World:
 
     def _act(
         self, actors: list[Firm], eps: float, draws: np.ndarray, k: int
-    ) -> tuple[np.ndarray, tuple, tuple, float]:
+    ) -> tuple[list[float] | np.ndarray, tuple, tuple, float]:
         """(1)-(3) the actors choose, trade and enter in ascending id: each
         decision sees the occupancy left by every earlier mover, so a crowd
         disperses instead of piling onto one opportunity. Returns the column,
@@ -318,7 +331,10 @@ class World:
 
         IO firms choose with `strategy.io_choose_market` over a column of
         `market_attractiveness` values, built at the top of the phase and
-        rewritten by its entry block for the markets joined and left.
+        rewritten by its entry block for the markets joined and left. The
+        column and the noise factors are lists below `_LIST_MARKETS`
+        markets and numpy arrays from there up; RBV actors read their noise
+        factor through one accessor, as a Python float either way.
         `_init_markets` gives each market its list position as its id, so the
         column's positions are the market ids. Nothing else moves occupancy or
         share values in this phase, so the same column then pays each
@@ -364,13 +380,19 @@ class World:
         noises *= eps
         noises += 1.0
         pos = 0
+        column = [market_attractiveness(m) for m in markets]
+        if n_markets < _LIST_MARKETS:
+            noises = noises.tolist()
+            rbv_noise = noises.__getitem__
+        else:
+            column = np.array(column)
+            rbv_noise = noises.item
 
         # The cycle's factor-market book: units bought and sold per type, and
         # the units bought with their eps-weighted sum, for `eps_p`.
         demand_red = demand_green = demand_blue = 0.0
         supply_red = supply_green = supply_blue = 0.0
         demand_eps_weight = demand_units = 0.0
-        column = np.array([market_attractiveness(m) for m in markets])
         candidates = self.rbv_candidates
         literal_sign, output_fraction = cfg.literal_distance_sign, cfg.output_fraction
         for firm in actors:
@@ -381,7 +403,7 @@ class World:
                 if choice.market == firm.market:
                     continue
             else:
-                noise = noises.item(pos) if k else 1.0
+                noise = rbv_noise(pos) if k else 1.0
                 pos += 1
                 bundle = firm.resources.as_tuple()
                 memo = candidates.get(firm.id)
@@ -446,11 +468,10 @@ class World:
         tail: one draw per market, then 3 price draws."""
         cfg = self.config
         markets = self.markets
+        value_noise, crowding, value_floor = cfg.value_noise, cfg.crowding, cfg.value_floor
         for market, u in zip(markets, draws):
-            noise = 1.0 + cfg.value_noise * (2.0 * u - 1.0)
-            market.share_value = update_share_value(
-                market, cfg.crowding, noise, cfg.value_floor
-            )
+            noise = 1.0 + value_noise * (2.0 * u - 1.0)
+            market.share_value = update_share_value(market, crowding, noise, value_floor)
         u_red, u_green, u_blue = draws[len(markets):]
         price_noise = (
             1.0 + eps_p * (2.0 * u_red - 1.0),

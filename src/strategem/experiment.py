@@ -14,6 +14,7 @@ count affects wall clock only, never output bytes.
 from __future__ import annotations
 
 import contextlib
+import glob
 import math
 import os
 from dataclasses import dataclass, field
@@ -117,7 +118,8 @@ def run_batch(
     runs.csv gets its header before the first run and each run's row as it
     arrives, so a failed run leaves the rows of every run before it and
     raises its `run_task` error; aggregate.csv is written only after the
-    last run, and an earlier batch's is removed first. The aggregate is
+    last run. An earlier batch's aggregate.csv and `traces/run_*.csv` are
+    removed first, so the directory never mixes two batches. The aggregate is
     taken from the summaries in memory, and `aggregate` run later over
     runs.csv reproduces aggregate.csv byte for byte: runs.csv writes each
     double with 17 significant digits, which parse back to the same double
@@ -139,8 +141,12 @@ def run_batch(
         runs_csv = None
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, "aggregate.csv"))
+            # An earlier batch's aggregate and traces, which this batch may
+            # not write again.
+            stale = glob.glob(os.path.join(glob.escape(out_dir), "traces", "run_*.csv"))
+            for path in [os.path.join(out_dir, "aggregate.csv"), *stale]:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
             # Line-buffered: each row reaches the file as it is written.
             runs_csv = stack.enter_context(
                 open(os.path.join(out_dir, "runs.csv"), "w", buffering=1)

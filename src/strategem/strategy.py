@@ -8,14 +8,14 @@ off-market.
 
 Each rule takes the inputs `World.step_cycle` keeps and no others.
 `io_choose_market` takes the column of `market_attractiveness` values in
-market-id order, whose positions are the market ids, and picks its first
-maximum, times a row of noise factors when there is one. `rbv_candidate`
-scans the markets, in id order, for the best-fitting one, and
-`rbv_choose_market` values the three actions against the candidate and
-the `barrier_deficit` there that it is given, both of which `World`
-remembers while the firm's bundle is unchanged. Both choosers are pure
-functions of the snapshots they are given; the noise factors model
-imperfect information.
+market-id order, whose positions are the market ids, as a list or an
+array, and picks its first maximum, times a row of noise factors when
+there is one. `rbv_candidate` scans the markets, in id order, for the
+best-fitting one, and `rbv_choose_market` values the three actions
+against the candidate and the `barrier_deficit` there that it is given,
+both of which `World` remembers while the firm's bundle is unchanged.
+Both choosers are pure functions of the snapshots they are given; the
+noise factors model imperfect information.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -68,8 +69,8 @@ def market_attractiveness(market: Market) -> float:
 
 def io_choose_market(
     firm: Firm,
-    attractiveness: np.ndarray,
-    noise: np.ndarray | None,
+    attractiveness: list[float] | np.ndarray,
+    noise: list[float] | np.ndarray | None,
 ) -> MarketChoice:
     """Pick the market with the highest expected per-occupant profit: the
     first maximum of `attractiveness * noise`, or of `attractiveness` alone
@@ -78,7 +79,20 @@ def io_choose_market(
     `attractiveness` holds `market_attractiveness` of each market in id
     order, as `World` keeps it, and the chosen market is its position.
     `noise` multiplies each market's estimate, position for position.
+
+    Both come as Python lists or both as numpy arrays (`World` uses lists
+    below `engine._LIST_MARKETS` markets). The two paths multiply the same
+    doubles and return the same `int` market and Python `float` score:
+    `max` then `index`, like `argmax`, take the first maximum, and the two
+    could differ only on NaN. Under `SimConfig.validate()` no score is NaN:
+    shares are at most 1e100, share values stay finite above a positive
+    floor, and the noise factors lie in (0, 2), so every score is positive
+    and finite.
     """
+    if type(attractiveness) is list:
+        scores = attractiveness if noise is None else list(map(mul, attractiveness, noise))
+        best = max(scores)
+        return MarketChoice(scores.index(best), best, ENTER)
     scores = attractiveness if noise is None else attractiveness * noise
     j = int(scores.argmax())
     return MarketChoice(j, scores.item(j), ENTER)

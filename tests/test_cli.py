@@ -168,6 +168,17 @@ class TestBatchAndAggregate:
             assert main(["aggregate", os.path.join(out, "runs.csv"), "--out", out2]) == 0
             assert open(os.path.join(out2, "aggregate.csv"), "rb").read() == agg_bytes
 
+    def test_a_batch_leaves_only_its_own_traces(self, tmp_path):
+        out = str(tmp_path / "out")
+        small = ["--cycles", "3", "--firms", "20", "--markets", "5",
+                 "--set", "sim.checkpoint_cycles=3", "--out", out]
+        for runs, trace in (("5", ["--trace"]), ("3", ["--trace"]), ("2", [])):
+            assert main(["batch", "--runs", runs, *trace, *small]) == 0
+            expected = {f"run_{i}.csv" for i in range(int(runs))} if trace else set()
+            assert set(os.listdir(os.path.join(out, "traces"))) == expected
+            with open(os.path.join(out, "runs.csv")) as fh:
+                assert len(fh.readlines()) == 1 + int(runs)
+
     def test_aggregate_missing_input_exits_1(self, tmp_path, capsys):
         assert main(["aggregate", str(tmp_path / "nope.csv")]) == 1
 

@@ -23,7 +23,7 @@ from strategem.engine import (
     write_trace_rows,
 )
 from strategem.config import DOMAINS, MAX_RATE, MAX_SCALE, SECTIONS, BatchConfig, SimConfig
-from strategem.experiment import derive_seed
+from strategem.experiment import derive_seed, run_one
 from strategem.metrics import CHECKPOINT_FIELDS, checkpoint_stats
 from strategem.model import (
     Firm,
@@ -602,6 +602,39 @@ class TestTracerHooks:
         assert calls["survival_check"] == alive_at_settlement
         assert calls["sfm_buy"] > 0
         assert calls["total_asset_value"] > 0
+
+
+class TestColumnRepresentations:
+    """`_act` keeps the attractiveness column and noise factors as lists
+    below `engine._LIST_MARKETS` markets and as arrays from there up; each
+    path, forced on the same world, gives the same bytes."""
+
+    @pytest.mark.parametrize("n_markets", [5, 12])
+    def test_list_and_array_paths_write_the_same_bytes(self, monkeypatch, n_markets):
+        config = SimConfig(
+            n_firms=60, n_markets=n_markets, n_cycles=40, checkpoint_cycles=(20, 40)
+        )
+        seen = []
+
+        def recording(firm, attractiveness, noise):
+            seen.append((type(attractiveness), type(noise)))
+            return io_choose_market(firm, attractiveness, noise)
+
+        monkeypatch.setattr(strategem.engine, "io_choose_market", recording)
+        outputs = {}
+        for path, limit, kind in (("arrays", 0, np.ndarray), ("lists", n_markets + 1, list)):
+            monkeypatch.setattr(strategem.engine, "_LIST_MARKETS", limit)
+            seen.clear()
+            trace = io.StringIO()
+            summary = run_one(derive_seed(2, n_markets), config, trace_out=trace)
+            assert set(seen) == {(kind, kind)}
+            rows = {
+                cycle: [format_field(stats[name]) for name in CHECKPOINT_FIELDS]
+                for cycle, stats in summary.checkpoints.items()
+            }
+            outputs[path] = (trace.getvalue(), rows)
+        assert list(outputs["lists"][1]) == [20, 40]
+        assert outputs["lists"] == outputs["arrays"]
 
 
 class _RecordingRng:

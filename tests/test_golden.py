@@ -3,8 +3,9 @@ short traced run whose initial bundles and barriers are drawn uniformly
 from the cube ranges instead of as Dirichlet mixes, of a short traced run
 without estimation noise (no IO or RBV draws in the cycle's block),
 of one whose noise amplitude is so small that the cycle's estimation
-error underflows to zero from cycle 2, and of one whose RBV firms
-measure the shortfall in the literal pos(holding - barrier) orientation.
+error underflows to zero from cycle 2, of one whose RBV firms
+measure the shortfall in the literal pos(holding - barrier) orientation,
+and of three runs on 5 markets.
 
 A refactor that moves any output byte (one ulp in any formula, a changed
 float format, a reordered random draw) fails here. The digests were taken
@@ -15,6 +16,8 @@ a change that says which outputs it alters and why.
 import hashlib
 import io
 import os
+
+import pytest
 
 from strategem.config import BatchConfig, SimConfig
 from strategem.experiment import derive_seed, run_batch, run_one
@@ -53,6 +56,22 @@ GOLDEN_LITERAL_SIGN_TRACE = (
     "4a4964fa566d3dd0c3daf8c559641050179e69dcece4c307039512e4dc796cc4"
 )
 
+# Traces of run 0 (seed derive_seed(0, 0)) on 5 markets, where `World` keeps
+# its attractiveness column and noise factors as lists: 20 cycles of the
+# default config except n_markets = 5, the same without estimation noise,
+# and 200 cycles of 20 firms (the benchmark's small world). Taken from the
+# code as it stood before worlds of fewer than 10 markets used lists.
+GOLDEN_FIVE_MARKET_TRACES = {
+    "default": "c9f32799b5fb7f1b0b6cd1e4a2108e0a9e0b3d4311aa557cfc60fbbf0bd48def",
+    "noise-free": "bcf0c25ce4a00cd14d21525f25790ee926fff95f8f8399eec2e506f9709056f5",
+    "small-world": "4e1049a3365f70b4b166ceae675584603c3f083c77d3b458a5d06753dc7184de",
+}
+FIVE_MARKET_CONFIGS = {
+    "default": SimConfig(n_cycles=20, n_markets=5),
+    "noise-free": SimConfig(n_cycles=20, n_markets=5, noise_amplitude=0.0),
+    "small-world": SimConfig(n_firms=20, n_markets=5, n_cycles=200),
+}
+
 
 def _sha256(path):
     with open(path, "rb") as fh:
@@ -90,3 +109,8 @@ def test_subnormal_noise_trace_matches_golden_digest():
 def test_literal_sign_trace_matches_golden_digest():
     config = SimConfig(n_cycles=20, literal_distance_sign=True)
     assert _trace_digest(config) == GOLDEN_LITERAL_SIGN_TRACE
+
+
+@pytest.mark.parametrize("name", sorted(FIVE_MARKET_CONFIGS))
+def test_five_market_trace_matches_golden_digest(name):
+    assert _trace_digest(FIVE_MARKET_CONFIGS[name]) == GOLDEN_FIVE_MARKET_TRACES[name]

@@ -136,6 +136,33 @@ class TestIoChooser:
             assert choice.score == best
         assert tied > 50
 
+    def test_list_and_array_inputs_choose_alike(self):
+        # `World` passes lists below `engine._LIST_MARKETS` markets and
+        # arrays from there up; both must give the same first maximum, as
+        # an `int` market and a Python `float` score. Few distinct values
+        # make exact ties common.
+        rng = np.random.Generator(np.random.PCG64(3))
+        tied = 0
+        for _ in range(500):
+            n = int(rng.integers(1, 25))
+            values = [0.5, 1.0, 2.0, float(rng.uniform(0.1, 50.0))]
+            factors = [0.5, 1.0, 1.5, float(rng.uniform(0.7, 1.3))]
+            attractiveness = [float(rng.choice(values)) for _ in range(n)]
+            noise = [float(rng.choice(factors)) for _ in range(n)]
+            for row in (noise, None):
+                array_row = None if row is None else np.array(row)
+                from_list = io_choose_market(make_firm(), attractiveness, row)
+                from_array = io_choose_market(make_firm(), np.array(attractiveness), array_row)
+                assert from_list == from_array
+                assert type(from_list.market) is int and type(from_array.market) is int
+                assert type(from_list.score) is float and type(from_array.score) is float
+                scores = attractiveness
+                if row is not None:
+                    scores = [a * f for a, f in zip(attractiveness, row)]
+                assert from_list.market == scores.index(max(scores))
+                tied += scores.count(max(scores)) > 1
+        assert tied > 100
+
     @given(st.floats(0.1, 100.0))
     def test_invariant_under_value_rescaling(self, scale):
         markets = [
