@@ -88,8 +88,9 @@ _TRACE_ROW = "%s,%s,{0},%s,%s,{0},{0},{0},{0},%s\n".format(FLOAT_FORMAT)
 _IO_TEXT, _RBV_TEXT = Strategy.IO.value, Strategy.RBV.value
 
 # The fewest markets whose column and noise factors are numpy arrays (see
-# the module docstring). Over whole 200-cycle runs, lists took 0.89x
-# numpy's CPU time at 5 markets, 1.01x at 10 and 1.19x at 20.
+# the module docstring). Over whole 200-cycle runs of 20 firms, lists took
+# less CPU time than arrays up to 8 markets, about as much at 10, and more
+# from 12 on (2-CPU Xeon, Python 3.11, numpy 2.4).
 _LIST_MARKETS = 10
 
 
