@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: `run` (one traced simulation), `batch` (many runs plus the
-aggregate table), `aggregate` (recompute aggregate.csv from an existing
-runs.csv), `validate` (check a config file and print the effective
-configuration). Exit codes: 0 success, 1 config error, 2 runtime failure.
+Subcommands: `run` (one traced simulation: a one-run `batch --trace`),
+`batch` (many runs plus the aggregate table), `aggregate` (recompute
+aggregate.csv from an existing runs.csv), `validate` (check a config file
+and print the effective configuration). Exit codes: 0 success, 1 config
+error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ import os
 import sys
 
 from .config import ConfigError, apply_override, dump_config, load_config
-from .experiment import (
-    read_runs_csv,
-    aggregate_summaries,
-    run_batch,
-    run_task,
-    write_aggregate_csv,
-    write_runs_csv,
-)
+from .experiment import read_runs_csv, aggregate_summaries, run_batch, write_aggregate_csv
 
 
 # Shortcut flags, each an alias of `--set KEY=N` applied before the --set pairs.
@@ -64,6 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", metavar="DIR", default="out", help="output directory")
         if name == "batch":
             p.add_argument("--trace", action="store_true", help="write per-cycle trace CSVs")
+        if name == "run":
+            p.set_defaults(trace=True)
     p = sub.add_parser("aggregate", help="recompute aggregate.csv from runs.csv")
     p.add_argument("runs_csv", help="path to an existing runs.csv")
     p.add_argument("--out", metavar="DIR", default="out")
@@ -127,16 +123,14 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 0
 
-        _echo_config(batch, args.out)
         if args.command == "run":
-            # Run 0 of a batch with the same settings, through the batch's task.
-            trace_path = os.path.join(args.out, "trace.csv")
-            summary = run_task((0, batch.base_seed, batch.sim, trace_path))
-            write_runs_csv(os.path.join(args.out, "runs.csv"), [summary])
-            print(f"wrote {trace_path} (seed {summary.seed})")
-            return 0
-
+            batch.n_runs = 1  # run 0 of a batch with the same settings
+        _echo_config(batch, args.out)
         summaries, _ = run_batch(batch, out_dir=args.out, trace=args.trace)
+        if args.command == "run":
+            trace_path = os.path.join(args.out, "traces", "run_0.csv")
+            print(f"wrote {trace_path} (seed {summaries[0].seed})")
+            return 0
         print(
             f"wrote {os.path.join(args.out, 'runs.csv')} and aggregate.csv "
             f"({len(summaries)} runs)"

@@ -84,8 +84,6 @@ FLOAT_FORMAT = "%.17g"
 # "id,strategy" text, market, cash, the bundle's "red,green,blue" text, the
 # tr text, tc, profit, roa, total_perf, alive.
 _TRACE_ROW = "%s,%s,{0},%s,%s,{0},{0},{0},{0},%s\n".format(FLOAT_FORMAT)
-# The strategy column's text; `Enum.value` is a property, slow once per row.
-_IO_TEXT, _RBV_TEXT = Strategy.IO.value, Strategy.RBV.value
 
 # The fewest markets whose column and noise factors are numpy arrays (see
 # the module docstring). Over whole 200-cycle runs of 20 firms, lists took
@@ -562,7 +560,6 @@ def write_trace_rows(out: IO[str], world: World) -> None:
     """
     prefix = "%s,%s," % (world.run_id, world.cycle)
     texts = world.trace_texts
-    io = Strategy.IO
     payouts = {}
     values = []
     for firm in world.firms:
@@ -571,9 +568,7 @@ def write_trace_rows(out: IO[str], world: World) -> None:
         memo = texts.get(firm.id)
         if memo is None or memo[1] is not red or memo[2] is not green or memo[3] is not blue:
             memo = texts[firm.id] = (
-                "%s,%s" % (firm.id, _IO_TEXT if firm.strategy is io else _RBV_TEXT)
-                if memo is None
-                else memo[0],
+                "%s,%s" % (firm.id, firm.strategy.value) if memo is None else memo[0],
                 red,
                 green,
                 blue,

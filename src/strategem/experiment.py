@@ -1,7 +1,7 @@
 """Batch runner: many independent seeded runs, summarized and aggregated.
 
 `run_batch` validates and runs a `config.BatchConfig`, each member through
-`run_task`, which `strategem run` calls for member 0. A run's summary
+`run_task`; `strategem run` is a one-run traced batch. A run's summary
 holds the row that `metrics.checkpoint_stats` returns at each checkpoint
 cycle; this module writes those rows to runs.csv, reads them back, and
 aggregates them into aggregate.csv.
@@ -69,11 +69,9 @@ def run_one(
         write_trace_header(trace_out)
         write_trace_rows(trace_out, world)
 
-    if config.n_cycles == 0:
-        summary.checkpoints[0] = checkpoint_stats(world.firms)
-        return summary
-
     checkpoints = set(_checkpoint_cycles(config))
+    if 0 in checkpoints:
+        summary.checkpoints[0] = checkpoint_stats(world.firms)
     for cycle in range(1, config.n_cycles + 1):
         world.step_cycle()
         if trace_out is not None:
@@ -87,8 +85,8 @@ def run_task(args: tuple[int, int, SimConfig, str | None]) -> RunSummary:
     """Run batch member `run_id` of `base_seed`, writing its trace to
     `trace_path` as it runs when a path is given.
 
-    Every run of a batch goes through here, and so does `strategem run`,
-    as member 0, so a failure names the run and its seed either way.
+    Every run of a batch goes through here, so a failure names the run
+    and its seed.
     """
     run_id, base_seed, config, trace_path = args
     seed = derive_seed(base_seed, run_id)

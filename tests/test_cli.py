@@ -9,6 +9,19 @@ from strategem import experiment
 from strategem.cli import main
 from strategem.config import dump_config, load_config
 
+SMALL = ["--cycles", "3", "--firms", "20", "--markets", "5", "--set", "sim.checkpoint_cycles=3"]
+
+
+def read_tree(root):
+    """Every file under `root`, by path relative to it, with its bytes."""
+    tree = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                tree[os.path.relpath(path, root)] = fh.read()
+    return tree
+
 # Values the typed parse or validate() rejects; each must fail before any
 # run, with exit 1.
 OUT_OF_RANGE = (
@@ -99,7 +112,7 @@ class TestRun:
     def test_zero_cycle_run_traces_initialization_only(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert main(["run", "--seed", "42", "--cycles", "0", "--out", out]) == 0
-        lines = open(os.path.join(out, "trace.csv")).read().splitlines()
+        lines = open(os.path.join(out, "traces", "run_0.csv")).read().splitlines()
         assert len(lines) == 1 + 200  # header + one row per firm, no cycles
         assert os.path.exists(os.path.join(out, "effective_config.ini"))
 
@@ -118,17 +131,51 @@ class TestRun:
                  "--set", "sim.checkpoint_cycles=5"]
         out = str(tmp_path / "run")
         assert main(["run", "--seed", "42", *small, "--out", out]) == 0
-        trace = open(os.path.join(out, "trace.csv"), "rb").read()
+        files = read_tree(out)
 
         echo = os.path.join(out, "effective_config.ini")
         rerun = str(tmp_path / "rerun")
         assert main(["run", "--config", echo, "--out", rerun]) == 0
-        assert open(os.path.join(rerun, "trace.csv"), "rb").read() == trace
+        assert read_tree(rerun) == files
 
+        # `run` is `batch --runs 1 --trace`: every file the same, the echo too.
         batch = str(tmp_path / "batch")
         code = main(["batch", "--seed", "42", "--runs", "1", "--trace", *small, "--out", batch])
         assert code == 0
-        assert open(os.path.join(batch, "traces", "run_0.csv"), "rb").read() == trace
+        assert read_tree(batch) == files
+
+    @pytest.mark.parametrize("order", [("batch", "run"), ("run", "batch")])
+    def test_out_holds_only_the_last_commands_files(self, tmp_path, order):
+        def argv(command, out):
+            runs = ["--runs", "3", "--trace"] if command == "batch" else []
+            return [command, *runs, *SMALL, "--out", out]
+
+        out = str(tmp_path / "out")
+        for command in order:
+            assert main(argv(command, str(tmp_path / command))) == 0
+        for command in order:
+            assert main(argv(command, out)) == 0
+            assert read_tree(out) == read_tree(str(tmp_path / command))
+            agg = str(tmp_path / f"agg_{command}")
+            assert main(["aggregate", os.path.join(out, "runs.csv"), "--out", agg]) == 0
+            assert read_tree(agg) == {"aggregate.csv": read_tree(out)["aggregate.csv"]}
+
+    def test_run_of_a_batch_config_runs_once_without_a_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-run batch started a pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        ini = tmp_path / "batch.ini"
+        ini.write_text("[batch]\nn_runs = 1008\nparallelism = 8\n")
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", str(ini), *SMALL, "--out", out]) == 0
+        assert set(read_tree(out)) == {
+            "effective_config.ini", "runs.csv", "aggregate.csv", os.path.join("traces", "run_0.csv"),
+        }
+        with open(os.path.join(out, "runs.csv")) as fh:
+            assert len(fh.readlines()) == 2
+        echo = open(os.path.join(out, "effective_config.ini")).read()
+        assert "n_runs = 1\n" in echo and "parallelism = 8\n" in echo
 
     def test_failing_run_names_run_0_and_its_seed(self, tmp_path, capsys, monkeypatch):
         def failing_run_one(*args, **kwargs):
@@ -170,10 +217,8 @@ class TestBatchAndAggregate:
 
     def test_a_batch_leaves_only_its_own_traces(self, tmp_path):
         out = str(tmp_path / "out")
-        small = ["--cycles", "3", "--firms", "20", "--markets", "5",
-                 "--set", "sim.checkpoint_cycles=3", "--out", out]
         for runs, trace in (("5", ["--trace"]), ("3", ["--trace"]), ("2", [])):
-            assert main(["batch", "--runs", runs, *trace, *small]) == 0
+            assert main(["batch", "--runs", runs, *trace, *SMALL, "--out", out]) == 0
             expected = {f"run_{i}.csv" for i in range(int(runs))} if trace else set()
             assert set(os.listdir(os.path.join(out, "traces"))) == expected
             with open(os.path.join(out, "runs.csv")) as fh:
