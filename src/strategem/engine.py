@@ -211,20 +211,16 @@ def _draw_bundle(
 class World:
     """All mutable state for one run plus its RNG stream."""
 
-    def __init__(self, config: SimConfig, rng: np.random.Generator, run_id: int = 0):
+    def __init__(self, config: SimConfig, rng: np.random.Generator):
         config.validate()
         self.config = config
         self.rng = rng
-        self.run_id = run_id
         self.cycle = 0
         self.markets = self._init_markets()
         self.firms = self._init_firms()
         # RBV firm id -> (bundle, its rbv_candidate market, its barrier_deficit
         # there); see `_act`
         self.rbv_candidates: dict[int, tuple[tuple[float, ...], Market, ResourceBundle]] = {}
-        # firm id -> ("id,strategy" trace text, red, green, blue, their "r,g,b"
-        # trace text); see write_trace_rows
-        self.trace_texts: dict[int, tuple[str, float, float, float, str]] = {}
         self.sfm = SfmState(
             stock=ResourceBundle(
                 config.initial_stock, config.initial_stock, config.initial_stock
@@ -533,33 +529,31 @@ def format_field(value) -> str:
     return str(value)
 
 
-def write_trace_header(out: IO[str]) -> None:
-    out.write(",".join(TRACE_COLUMNS) + "\n")
-
-
-def write_trace_rows(out: IO[str], world: World) -> None:
+def write_trace_rows(
+    out: IO[str], world: World, run_id: int, texts: dict[int, tuple]
+) -> None:
     """Append one CSV row per firm of `world`, in TRACE_COLUMNS order, with
     one format and one write.
 
     The cycle's "run_id,cycle," text (each `%s` of its value) starts the
     row template, and the cycle's other values go into one flat list,
     formatted by that template repeated once per firm. Texts are kept in
-    `World.trace_texts`, once per run for a firm's "id,strategy" (neither
-    changes in a run) and by object identity for its bundle, since an
-    untouched value stays the same object while equal values can print
-    differently (0.0 and -0.0): the bundle text is made again once any
-    component is another object. The `tr` text from `format_field` is kept
-    per market for this call, as the occupants of a market hold its one
-    payout float. Beside "IO", "RBV", "true", "false" and the exponent "e",
-    the text's only letters are those of "nan" and "inf", so a cycle whose
-    text holds an "n" is joined again row by row through `format_field`:
-    it prints NaN as a blank where `%.17g` prints "nan", prints inf as
-    `%.17g` does, and returns the text and int values unchanged. The float
-    columns start as floats (`_init_firms` converts `initial_cash`) and the
-    engine stores only floats in them.
+    `texts`, the caller's memo, one dict per run: firm id -> ("id,strategy"
+    text, red, green, blue, their "r,g,b" text). A firm's "id,strategy" text
+    is made once per run (neither changes in a run) and its bundle text by
+    object identity, since an untouched value stays the same object while
+    equal values can print differently (0.0 and -0.0): the bundle text is
+    made again once any component is another object. The `tr` text from
+    `format_field` is kept per market for this call, as the occupants of a
+    market hold its one payout float. Beside "IO", "RBV", "true", "false"
+    and the exponent "e", the text's only letters are those of "nan" and
+    "inf", so a cycle whose text holds an "n" is joined again row by row
+    through `format_field`: it prints NaN as a blank where `%.17g` prints
+    "nan", prints inf as `%.17g` does, and returns the text and int values
+    unchanged. The float columns start as floats (`_init_firms` converts
+    `initial_cash`) and the engine stores only floats in them.
     """
-    prefix = "%s,%s," % (world.run_id, world.cycle)
-    texts = world.trace_texts
+    prefix = "%s,%s," % (run_id, world.cycle)
     payouts = {}
     values = []
     for firm in world.firms:

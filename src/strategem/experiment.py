@@ -23,7 +23,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .config import BatchConfig, SimConfig
-from .engine import World, format_field, write_trace_header, write_trace_rows
+from .engine import TRACE_COLUMNS, World, format_field, write_trace_rows
 from .metrics import CHECKPOINT_FIELDS, RELATIVE_DIFF_FIELDS, checkpoint_stats
 
 @dataclass
@@ -56,26 +56,24 @@ def run_one(
     run_id: int = 0,
     trace_out: IO[str] | None = None,
 ) -> RunSummary:
-    """Run one simulation and capture checkpoint statistics.
+    """Run one simulation, capture its checkpoint statistics and, given
+    `trace_out`, write its trace there.
 
-    With n_cycles = 0 the summary holds a single cycle-0 snapshot of the
-    initialized world. Traces always start with the initialization rows.
+    One loop visits cycles 0 to n_cycles and steps the world on every cycle
+    but 0, so cycle 0 is the initialized world: a trace starts with its
+    rows, and with n_cycles = 0 the summary holds its single snapshot.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    world = World(config, rng, run_id=run_id)
+    world = World(config, np.random.Generator(np.random.PCG64(seed)))
     summary = RunSummary(run_id=run_id, seed=seed)
-
-    if trace_out is not None:
-        write_trace_header(trace_out)
-        write_trace_rows(trace_out, world)
-
     checkpoints = set(_checkpoint_cycles(config))
-    if 0 in checkpoints:
-        summary.checkpoints[0] = checkpoint_stats(world.firms)
-    for cycle in range(1, config.n_cycles + 1):
-        world.step_cycle()
+    texts = {}  # the trace's per-run memo; see write_trace_rows
+    if trace_out is not None:
+        trace_out.write(",".join(TRACE_COLUMNS) + "\n")
+    for cycle in range(config.n_cycles + 1):
+        if cycle:
+            world.step_cycle()
         if trace_out is not None:
-            write_trace_rows(trace_out, world)
+            write_trace_rows(trace_out, world, run_id, texts)
         if cycle in checkpoints:
             summary.checkpoints[cycle] = checkpoint_stats(world.firms)
     return summary
@@ -91,9 +89,7 @@ def run_task(args: tuple[int, int, SimConfig, str | None]) -> RunSummary:
     run_id, base_seed, config, trace_path = args
     seed = derive_seed(base_seed, run_id)
     try:
-        if trace_path is None:
-            return run_one(seed, config, run_id=run_id)
-        with open(trace_path, "w") as fh:
+        with open(trace_path, "w") if trace_path else contextlib.nullcontext() as fh:
             return run_one(seed, config, run_id=run_id, trace_out=fh)
     except Exception as exc:  # surface the offending seed to the caller
         raise RuntimeError(f"run {run_id} (seed {seed}) failed: {exc}") from exc
@@ -126,10 +122,7 @@ def run_batch(
     batch.validate()
     if trace and out_dir is None:
         raise ValueError("trace=True needs an out_dir to write the traces into")
-    trace_dir = None
-    if trace:
-        trace_dir = os.path.join(out_dir, "traces")
-        os.makedirs(trace_dir, exist_ok=True)
+    trace_dir = os.path.join(out_dir, "traces") if trace else None
     tasks = [
         (i, batch.base_seed, batch.sim, trace_dir and os.path.join(trace_dir, f"run_{i}.csv"))
         for i in range(batch.n_runs)
@@ -138,7 +131,7 @@ def run_batch(
     with contextlib.ExitStack() as stack:
         runs_csv = None
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
+            os.makedirs(trace_dir or out_dir, exist_ok=True)
             # An earlier batch's aggregate and traces, which this batch may
             # not write again.
             stale = glob.glob(os.path.join(glob.escape(out_dir), "traces", "run_*.csv"))

@@ -186,7 +186,7 @@ def test_criterion_6_conservation_and_bookkeeping(monkeypatch):
     cfg = SimConfig()
     for run in range(10):
         rng = np.random.Generator(np.random.PCG64(derive_seed(6, run)))
-        world = World(cfg, rng, run_id=run)
+        world = World(cfg, rng)
         base_totals = _resource_totals(world)
         prev_perf = {f.id: 0.0 for f in world.firms}
         for _ in range(cfg.n_cycles):

@@ -279,9 +279,10 @@ class TestStepCycle:
         for _ in range(2):
             world = make_world(seed=11)
             out = io.StringIO()
+            texts = {}
             for _ in range(30):
                 world.step_cycle()
-                write_trace_rows(out, world)
+                write_trace_rows(out, world, 0, texts)
             traces.append(out.getvalue())
         assert traces[0] == traces[1]
 
@@ -801,13 +802,14 @@ class TestCycleMechanics:
         assert rescans > 0
 
 
-def _fielded_rows(world):
-    """`world`'s trace rows built field by field with `format_field`."""
+def _fielded_rows(world, run_id=0):
+    """`world`'s trace rows for run `run_id`, built field by field with
+    `format_field`."""
     lines = []
     for firm in world.firms:
         res = firm.resources
         row = (
-            world.run_id,
+            run_id,
             world.cycle,
             firm.id,
             firm.strategy.value,
@@ -827,9 +829,11 @@ def _fielded_rows(world):
     return "".join(lines)
 
 
-def _trace_text(world):
+def _trace_text(world, texts, run_id=0):
+    """`world`'s trace rows for run `run_id` from `write_trace_rows` with the
+    memo `texts`, which a test shares across the writes of one world."""
     out = io.StringIO()
-    write_trace_rows(out, world)
+    write_trace_rows(out, world, run_id, texts)
     return out.getvalue()
 
 
@@ -855,7 +859,7 @@ class TestTraceRows:
         nan.resources = ResourceBundle(math.nan, 1.0, 2.0)
         dead.alive = False
         dead.market = 0
-        text = _trace_text(world)
+        text = _trace_text(world, {})
         assert text == _fielded_rows(world)
         lines = text.splitlines()
         assert lines[0].split(",")[4] == ""
@@ -878,24 +882,25 @@ class TestTraceRows:
         # An int initial_cash starts every firm on its float, as a float
         # initial_cash of the same value would.
         world = make_world(seed=3, n_firms=4, n_markets=2, initial_cash=cash)
-        text = _trace_text(world)
+        text = _trace_text(world, {})
         assert text == _fielded_rows(world)
         assert text == _trace_text(
-            make_world(seed=3, n_firms=4, n_markets=2, initial_cash=float(cash))
+            make_world(seed=3, n_firms=4, n_markets=2, initial_cash=float(cash)), {}
         )
         assert {line.split(",")[5] for line in text.splitlines()} == {expected}
 
     def test_bundle_text_follows_in_place_trades(self):
         world = make_world(seed=4, n_firms=4, n_markets=2)
         world.step_cycle()
+        texts = {}
         firm = world.firms[1]
-        assert _trace_text(world) == _fielded_rows(world)
+        assert _trace_text(world, texts) == _fielded_rows(world)
         before = firm.resources.as_tuple()
         assert sfm_buy(firm, ResourceBundle(1.0, 0.0, 2.0), world.sfm) is not None
-        assert _trace_text(world) == _fielded_rows(world)
+        assert _trace_text(world, texts) == _fielded_rows(world)
         assert firm.resources.as_tuple() != before
         sfm_sell(firm, ResourceBundle(0.5, 0.0, 0.0), world.sfm)
-        text = _trace_text(world)
+        text = _trace_text(world, texts)
         assert text == _fielded_rows(world)
         res = firm.resources
         assert text.splitlines()[1].split(",")[6:9] == [
@@ -903,13 +908,14 @@ class TestTraceRows:
         ]
         # Equal values can print differently, so a new object is a new text.
         res.green = -0.0
-        assert _trace_text(world).splitlines()[1].split(",")[7] == "-0"
+        assert _trace_text(world, texts).splitlines()[1].split(",")[7] == "-0"
         res.green = 0.0
-        assert _trace_text(world).splitlines()[1].split(",")[7] == "0"
+        assert _trace_text(world, texts).splitlines()[1].split(",")[7] == "0"
 
     def test_payout_text_follows_the_revenue_object(self):
         world = make_world(seed=5, n_firms=6, n_markets=2)
         world.step_cycle()
+        texts = {}
         zero = 0.0
         *shared, unplaced, negative, nan = world.firms
         for firm in shared:
@@ -918,19 +924,20 @@ class TestTraceRows:
         # Equal to the shared payout, but printed differently.
         negative.market, negative.revenue = 0, -0.0
         nan.market, nan.cash = 1, math.nan
-        text = _trace_text(world)
+        text = _trace_text(world, texts)
         assert text == _fielded_rows(world)
         assert text.splitlines()[4].split(",")[9] == "-0"
         # The NaN fallback covers one cycle's write only.
         nan.cash = 1.0
-        assert _trace_text(world) == _fielded_rows(world)
+        assert _trace_text(world, texts) == _fielded_rows(world)
 
     def test_default_world_text_holds_no_n(self):
         # The NaN fallback runs whenever a cycle's text holds an "n"; a
         # token with one (such as "none") would send every cycle down it.
         world = make_world(seed=6)
+        texts = {}
         for _ in range(4):
-            assert "n" not in _trace_text(world)
+            assert "n" not in _trace_text(world, texts)
             world.step_cycle()
 
     def test_inf_without_nan_matches_per_field_rows(self):
@@ -938,7 +945,7 @@ class TestTraceRows:
         world.step_cycle()
         world.firms[0].cash = math.inf
         world.firms[2].total_perf = -math.inf
-        text = _trace_text(world)
+        text = _trace_text(world, {})
         assert "nan" not in text
         assert text == _fielded_rows(world)
         assert text.splitlines()[0].split(",")[5] == "inf"
@@ -948,11 +955,12 @@ class TestTraceRows:
         cfg = SimConfig(
             n_firms=20, n_markets=5, maintenance_rate=0.05, initial_cash=1.0, bankruptcy_grace=3
         )
-        world = World(cfg, np.random.Generator(np.random.PCG64(8)), run_id=123456789)
+        world = World(cfg, np.random.Generator(np.random.PCG64(8)))
+        texts = {}
         for _ in range(12):
             world.step_cycle()
-            text = _trace_text(world)
-            assert text == _fielded_rows(world)
+            text = _trace_text(world, texts, 123456789)
+            assert text == _fielded_rows(world, 123456789)
         assert {line[:13] for line in text.splitlines()} == {"123456789,12,"}
         assert any(not firm.alive for firm in world.firms)
         assert any(firm.alive and firm.market is None for firm in world.firms)
@@ -1065,10 +1073,11 @@ class TestRandomConfigInvariants:
         seed = derive_seed(batch.base_seed, 0)
         world = World(cfg, np.random.Generator(np.random.PCG64(seed)))
         base_totals = _resource_totals(world)
+        texts = {}
         for cycle in range(1, cfg.n_cycles + 1):
             v_pre = {m.id: m.share_value for m in world.markets}
             world.step_cycle()
-            assert _trace_text(world) == _fielded_rows(world)
+            assert _trace_text(world, texts) == _fielded_rows(world)
             for firm in world.firms:
                 assert min(firm.resources.as_tuple()) >= 0.0
                 assert math.isfinite(firm.cash)

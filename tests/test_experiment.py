@@ -2,6 +2,7 @@
 order-independent aggregation."""
 
 import concurrent.futures
+import io
 import math
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import pytest
 
 from strategem import config, experiment
 from strategem.config import BatchConfig, SimConfig
+from strategem.engine import format_field
 from strategem.experiment import (
     CHECKPOINT_FIELDS,
     RunSummary,
@@ -81,6 +83,36 @@ class TestRunOne:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("run_id,cycle,firm_id")
         assert len(lines) == 1 + 20  # header + one init row per firm
+
+    @pytest.mark.parametrize("sim", [small_sim(n_cycles=0), small_sim()])
+    def test_trace_leaves_checkpoints_unchanged(self, sim):
+        def cells(summary):
+            # Through format_field, so that NaN cells compare equal.
+            return {
+                cycle: {name: format_field(value) for name, value in stats.items()}
+                for cycle, stats in summary.checkpoints.items()
+            }
+
+        plain = run_one(derive_seed(0, 2), sim)
+        traced = run_one(derive_seed(0, 2), sim, trace_out=io.StringIO())
+        assert plain.checkpoints
+        assert cells(traced) == cells(plain)
+
+    def test_traces_of_two_run_ids_differ_only_in_the_first_field(self):
+        # Both runs in one process: the memo is per run, and the run id
+        # reaches every row.
+        traces = []
+        for run_id in (0, 7):
+            out = io.StringIO()
+            run_one(derive_seed(0, 3), small_sim(), run_id=run_id, trace_out=out)
+            traces.append(out.getvalue().splitlines())
+        first, second = traces
+        assert first[0] == second[0]  # the header
+        assert len(first) == len(second) == 1 + 20 * 11
+        for a, b in zip(first[1:], second[1:]):
+            assert a.split(",", 1)[0] == "0"
+            assert b.split(",", 1)[0] == "7"
+            assert a.split(",", 1)[1] == b.split(",", 1)[1]
 
 
 class TestRunsCsvRoundTrip:
