@@ -81,12 +81,6 @@ def _effective_config(args):
     return batch
 
 
-def _echo_config(batch, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "effective_config.ini"), "w") as fh:
-        fh.write(dump_config(batch))
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -125,7 +119,6 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "run":
             batch.n_runs = 1  # run 0 of a batch with the same settings
-        _echo_config(batch, args.out)
         summaries, _ = run_batch(batch, out_dir=args.out, trace=args.trace)
         if args.command == "run":
             trace_path = os.path.join(args.out, "traces", "run_0.csv")

@@ -22,7 +22,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .config import BatchConfig, SimConfig
+from .config import BatchConfig, SimConfig, dump_config
 from .engine import TRACE_COLUMNS, World, format_field, write_trace_rows
 from .metrics import CHECKPOINT_FIELDS, RELATIVE_DIFF_FIELDS, checkpoint_stats
 
@@ -108,16 +108,19 @@ def run_batch(
     process. The pool module is imported only when a batch starts a pool,
     so a process that runs no pool never loads `multiprocessing`.
 
-    Runs come back in id order from the pool and the serial loop alike.
-    runs.csv gets its header before the first run and each run's row as it
-    arrives, so a failed run leaves the rows of every run before it and
-    raises its `run_task` error; aggregate.csv is written only after the
-    last run. An earlier batch's aggregate.csv and `traces/run_*.csv` are
-    removed first, so the directory never mixes two batches. The aggregate is
-    taken from the summaries in memory, and `aggregate` run later over
-    runs.csv reproduces aggregate.csv byte for byte: runs.csv writes each
-    double with 17 significant digits, which parse back to the same double
-    (see `aggregate_summaries`).
+    Given `out_dir`, it is the one writer of that directory. Before the
+    first run it removes an earlier batch's aggregate.csv and
+    `traces/run_*.csv` and writes effective_config.ini (`dump_config(batch)`)
+    and runs.csv's header, so the directory never mixes two batches. Runs
+    come back in id order from the pool and the serial loop alike, and each
+    row is written as its run arrives. A failed run raises its `run_task`
+    error, and a dead pool worker `run N (seed S) was lost: ...` for the
+    first run without a row; both leave the rows before it. aggregate.csv
+    is written only after the last run, and with `trace` each run writes
+    `traces/run_<id>.csv`. The aggregate is taken from the summaries in
+    memory, and `aggregate` run later over runs.csv reproduces aggregate.csv
+    byte for byte: runs.csv writes each double with 17 significant digits,
+    which parse back to the same double (see `aggregate_summaries`).
     """
     batch.validate()
     if trace and out_dir is None:
@@ -138,6 +141,8 @@ def run_batch(
             for path in [os.path.join(out_dir, "aggregate.csv"), *stale]:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(path)
+            with open(os.path.join(out_dir, "effective_config.ini"), "w") as fh:
+                fh.write(dump_config(batch))
             # Line-buffered: each row reaches the file as it is written.
             runs_csv = stack.enter_context(
                 open(os.path.join(out_dir, "runs.csv"), "w", buffering=1)
@@ -145,17 +150,29 @@ def run_batch(
             columns = _checkpoint_columns(_checkpoint_cycles(batch.sim))
             runs_csv.write(_runs_header(columns))
         workers = min(batch.parallelism, batch.n_runs)
+        lost = ()  # the pool's error for a dead worker; a serial batch has none
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
+            lost = BrokenProcessPool
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(run_task, tasks)
         else:
             results = map(run_task, tasks)
-        for summary in results:
-            summaries.append(summary)
-            if runs_csv is not None:
-                runs_csv.write(_runs_row(summary, columns))
+        try:
+            for summary in results:
+                summaries.append(summary)
+                if runs_csv is not None:
+                    runs_csv.write(_runs_row(summary, columns))
+        except lost as exc:
+            # The first run without a row. The worker that died may have
+            # held a later run, so this run is named lost, not failed.
+            n = len(summaries)
+            seed = derive_seed(batch.base_seed, n)
+            raise RuntimeError(
+                f"run {n} (seed {seed}) was lost: a worker process ended abruptly"
+            ) from exc
 
     aggregate = aggregate_summaries(summaries)
     if out_dir is not None:

@@ -7,7 +7,7 @@ import pytest
 
 from strategem import experiment
 from strategem.cli import main
-from strategem.config import dump_config, load_config
+from strategem.config import BatchConfig, SimConfig, dump_config, load_config
 
 SMALL = ["--cycles", "3", "--firms", "20", "--markets", "5", "--set", "sim.checkpoint_cycles=3"]
 
@@ -223,6 +223,15 @@ class TestBatchAndAggregate:
             assert set(os.listdir(os.path.join(out, "traces"))) == expected
             with open(os.path.join(out, "runs.csv")) as fh:
                 assert len(fh.readlines()) == 1 + int(runs)
+
+    def test_run_batch_echoes_its_own_config_over_a_cli_batchs(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["batch", "--runs", "2", "--firms", "20", "--cycles", "5", "--out", out]) == 0
+        batch = BatchConfig(n_runs=3, base_seed=7, sim=SimConfig(n_firms=10, n_cycles=5))
+        experiment.run_batch(batch, out_dir=out)
+        echo = os.path.join(out, "effective_config.ini")
+        assert open(echo).read() == dump_config(batch)
+        assert load_config(echo) == batch
 
     def test_aggregate_missing_input_exits_1(self, tmp_path, capsys):
         assert main(["aggregate", str(tmp_path / "nope.csv")]) == 1

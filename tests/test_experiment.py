@@ -6,6 +6,7 @@ import io
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -45,6 +46,10 @@ class TestDeriveSeed:
     def test_is_64_bit_unsigned(self):
         s = derive_seed(0, 0)
         assert 0 <= s < 2**64
+
+    def test_quoted_value_is_pinned(self):
+        # README quotes this seed (`run --seed 42`); it is part of the contract.
+        assert derive_seed(42, 0) == 11465652750463011511
 
 
 class TestRunOne:
@@ -276,6 +281,43 @@ class TestRunBatch:
             batch(out)
         assert (out / "runs.csv").read_text() == "".join(whole[:4])
         assert not (out / "aggregate.csv").exists()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers inherit the patched run_one only when forked",
+    )
+    def test_lost_worker_names_the_first_run_without_a_row(self, tmp_path, monkeypatch):
+        def batch(out):
+            run_batch(
+                BatchConfig(n_runs=8, base_seed=5, sim=small_sim(), parallelism=2),
+                out_dir=str(out),
+            )
+
+        batch(tmp_path / "whole")
+        whole = (tmp_path / "whole" / "runs.csv").read_text().splitlines(keepends=True)
+
+        def dying_run_one(seed, config, run_id=0, trace_out=None):
+            if run_id == 3:
+                os._exit(9)  # the worker ends as a killed process does
+            return run_one(seed, config, run_id=run_id, trace_out=trace_out)
+
+        monkeypatch.setattr(experiment, "run_one", dying_run_one)
+        out = tmp_path / "lost"
+        error = r"^run (\d+) \(seed (\d+)\) was lost: a worker process ended abruptly$"
+        with pytest.raises(RuntimeError, match=error) as info:
+            batch(out)
+        run, seed = map(int, re.match(error, str(info.value)).groups())
+        # The other worker may still have held run 1 or 2 when run 3's died.
+        assert run <= 3
+        assert seed == derive_seed(5, run)
+        assert (out / "runs.csv").read_text() == "".join(whole[: run + 1])
+        assert not (out / "aggregate.csv").exists()
+        assert multiprocessing.active_children() == []  # the pool was shut down
+
+    def test_without_out_dir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_batch(BatchConfig(n_runs=2, sim=small_sim()))
+        assert os.listdir(tmp_path) == []
 
     def test_traces_written_during_the_only_pass(self, tmp_path, monkeypatch):
         calls = []
