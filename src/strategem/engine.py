@@ -84,6 +84,7 @@ FLOAT_FORMAT = "%.17g"
 # "id,strategy" text, market, cash, the bundle's "red,green,blue" text, the
 # tr text, tc, profit, roa, total_perf, alive.
 _TRACE_ROW = "%s,%s,{0},%s,%s,{0},{0},{0},{0},%s\n".format(FLOAT_FORMAT)
+_BUNDLE_TEXT = "{0},{0},{0}".format(FLOAT_FORMAT)
 
 # The fewest markets whose column and noise factors are numpy arrays (see
 # the module docstring). Over whole 200-cycle runs of 20 firms, lists took
@@ -543,14 +544,12 @@ def write_trace_rows(
     is made once per run (neither changes in a run) and its bundle text by
     object identity, since an untouched value stays the same object while
     equal values can print differently (0.0 and -0.0): the bundle text is
-    made again once any component is another object. The `tr` text from
-    `format_field` is kept per market for this call, as the occupants of a
-    market hold its one payout float. Beside "IO", "RBV", "true", "false"
-    and the exponent "e", the text's only letters are those of "nan" and
-    "inf", so a cycle whose text holds an "n" is joined again row by row
-    through `format_field`: it prints NaN as a blank where `%.17g` prints
-    "nan", prints inf as `%.17g` does, and returns the text and int values
-    unchanged. The float columns start as floats (`_init_firms` converts
+    made again once any component is another object. The `tr` text is kept
+    per market for this call, as the occupants of a market hold its one
+    payout float. NaN is blank because the cycle's text drops "nan", which
+    `%.17g` prints for every NaN; beside "IO", "RBV", "true", "false" and
+    the exponent "e", the text's only letters are those of "nan" and "inf".
+    The float columns start as floats (`_init_firms` converts
     `initial_cash`) and the engine stores only floats in them.
     """
     prefix = "%s,%s," % (run_id, world.cycle)
@@ -566,12 +565,12 @@ def write_trace_rows(
                 red,
                 green,
                 blue,
-                f"{format_field(red)},{format_field(green)},{format_field(blue)}",
+                _BUNDLE_TEXT % (red, green, blue),
             )
         market, revenue = firm.market, firm.revenue
         payout = payouts.get(market)
         if payout is None or payout[0] is not revenue:
-            payout = payouts[market] = (revenue, format_field(revenue))
+            payout = payouts[market] = (revenue, FLOAT_FORMAT % revenue)
         values += (
             memo[0],
             "" if market is None else market,
@@ -585,10 +584,4 @@ def write_trace_rows(
             "true" if firm.alive else "false",
         )
     text = (prefix + _TRACE_ROW) * len(world.firms) % tuple(values)
-    if "n" in text:
-        width = _TRACE_ROW.count("%")
-        text = "".join(
-            prefix + ",".join(map(format_field, values[i : i + width])) + "\n"
-            for i in range(0, len(values), width)
-        )
-    out.write(text)
+    out.write(text.replace("nan", ""))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import strategem.engine
 from strategem.engine import (
     FLOAT_FORMAT,
+    TRACE_COLUMNS,
     World,
     format_field,
     sfm_buy,
@@ -872,6 +873,34 @@ class TestTraceRows:
         assert lines[3].endswith(",false")
 
     @pytest.mark.parametrize(
+        "nan,sign", [(math.nan, 1.0), (-math.nan, -1.0)], ids=["nan", "negative_nan"]
+    )
+    @pytest.mark.parametrize("column", TRACE_COLUMNS[5:14])
+    def test_nan_in_each_float_column_is_blank(self, column, nan, sign):
+        assert math.copysign(1.0, nan) == sign
+        world = make_world(seed=2, n_firms=4, n_markets=2)
+        world.step_cycle()
+        first, second, other, unplaced = world.firms
+        first.market = second.market = 0
+        other.market, unplaced.market = 1, None
+        texts = {}
+        assert _trace_text(world, texts) == _fielded_rows(world)
+        if column in ("red", "green", "blue"):
+            setattr(first.resources, column, nan)
+        elif column == "tr":
+            # One payout float shared by both occupants of market 0.
+            first.revenue = second.revenue = nan
+        else:
+            attribute = {"tc": "cost", "roa": "instant_perf"}.get(column, column)
+            setattr(first, attribute, nan)
+        text = _trace_text(world, texts)
+        assert text == _fielded_rows(world)
+        rows = [line.split(",") for line in text.splitlines()]
+        column_index = TRACE_COLUMNS.index(column)
+        blanks = {(i, j) for i, row in enumerate(rows) for j in range(5, 14) if row[j] == ""}
+        assert blanks == {(i, column_index) for i in ((0, 1) if column == "tr" else (0,))}
+
+    @pytest.mark.parametrize(
         "cash,expected",
         [
             pytest.param(1000, "1000", id="1000"),
@@ -927,13 +956,14 @@ class TestTraceRows:
         text = _trace_text(world, texts)
         assert text == _fielded_rows(world)
         assert text.splitlines()[4].split(",")[9] == "-0"
-        # The NaN fallback covers one cycle's write only.
+        # Dropping "nan" blanks only the cycle whose text holds one.
         nan.cash = 1.0
         assert _trace_text(world, texts) == _fielded_rows(world)
 
     def test_default_world_text_holds_no_n(self):
-        # The NaN fallback runs whenever a cycle's text holds an "n"; a
-        # token with one (such as "none") would send every cycle down it.
+        # The writer blanks NaN by dropping every "nan" from a cycle's text,
+        # so no other text may hold one. Holding to no "n" at all makes a new
+        # token with one (such as "none") fail here before it can.
         world = make_world(seed=6)
         texts = {}
         for _ in range(4):
