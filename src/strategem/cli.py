@@ -89,26 +89,30 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; the contract is 1 for bad input
         return 0 if exc.code == 0 else 1
 
+    if args.command == "aggregate":
+        try:
+            summaries = read_runs_csv(args.runs_csv)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read {args.runs_csv}: {exc}", file=sys.stderr)
+            return 1
+        if not summaries:
+            print(f"error: {args.runs_csv} holds no runs, only a header", file=sys.stderr)
+            return 1
+    else:
+        try:
+            batch = _effective_config(args)
+        except ValueError as exc:  # ConfigError is a ValueError
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
+
     try:
         if args.command == "aggregate":
-            try:
-                summaries = read_runs_csv(args.runs_csv)
-            except (OSError, ValueError) as exc:
-                print(f"error: cannot read {args.runs_csv}: {exc}", file=sys.stderr)
-                return 1
-            aggregate = aggregate_summaries(summaries)
             os.makedirs(args.out, exist_ok=True)
             out_path = os.path.join(args.out, "aggregate.csv")
-            write_aggregate_csv(out_path, aggregate)
+            write_aggregate_csv(out_path, aggregate_summaries(summaries))
             print(f"wrote {out_path} ({len(summaries)} runs)")
             return 0
 
-        batch = _effective_config(args)
-    except ValueError as exc:  # ConfigError is a ValueError
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         if args.command == "validate":
             sys.stdout.write(dump_config(batch))
             print(

@@ -338,10 +338,10 @@ class World:
 
         RBV firms choose with `strategy.rbv_choose_market`, passed the
         candidate market of `strategy.rbv_candidate` and the firm's
-        `strategy.barrier_deficit` there, as a `ResourceBundle` that the
-        chooser prices. `World.rbv_candidates` remembers both for the bundle
-        they were found for, so the many output sales by firms whose bundle
-        has not moved rebuild neither. Both depend only on the bundle, the
+        `strategy.barrier_deficit` there, the `ResourceBundle` that it
+        returns and the chooser prices. `World.rbv_candidates` remembers
+        both for the bundle they were found for, so the many output sales
+        by firms whose bundle has not moved rebuild neither. Both depend only on the bundle, the
         barriers and `literal_distance_sign`; barriers are drawn once in
         `_init_markets` and the sign is fixed per run, so a bundle key is
         enough. A firm whose bundle differs from its key, after any trade, is
@@ -355,8 +355,8 @@ class World:
         which, the components being finite, is exactly when
         `strategy.barrier_deficit` has a component above zero (a `-0.0`
         against a `0.0` is short in neither order). It buys that deficit
-        through `sfm_buy` and books the purchase in the phase's trade
-        tallies; a bundle that meets the barrier joins without buying. Every
+        bundle through `sfm_buy` and books its components in the phase's
+        trade tallies; a bundle that meets the barrier joins without buying. Every
         full purchase joins too: it leaves each component at
         `r + max(b - r, 0)`, the barrier up to the rounding of that one sum,
         so the block does not test the bundle against the barrier again. Such
@@ -405,7 +405,7 @@ class World:
                 memo = candidates.get(firm.id)
                 if memo is None or memo[0] != bundle:
                     candidate = rbv_candidate(firm, markets, literal_sign)
-                    deficit = ResourceBundle(*barrier_deficit(firm, candidate))
+                    deficit = barrier_deficit(firm, candidate)
                     memo = candidates[firm.id] = (bundle, candidate, deficit)
                 choice = rbv_choose_market(firm, memo[1], memo[2], sfm, output_fraction, noise)
                 action = choice.action
@@ -433,11 +433,12 @@ class World:
             market = markets[choice.market]
             barrier, res = market.barrier, firm.resources
             if res.red < barrier.red or res.green < barrier.green or res.blue < barrier.blue:
-                dr, dg, db = barrier_deficit(firm, market)
-                cost = sfm_buy(firm, ResourceBundle(dr, dg, db), sfm)
+                deficit = barrier_deficit(firm, market)
+                cost = sfm_buy(firm, deficit, sfm)
                 if cost is None:
                     continue
                 firm.cost += cost
+                dr, dg, db = deficit.red, deficit.green, deficit.blue
                 demand_red += dr
                 demand_green += dg
                 demand_blue += db

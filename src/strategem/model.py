@@ -2,11 +2,14 @@
 factor market. The run configuration lives in `config`.
 
 All mutation of these objects is owned by the engine; everything here is a
-plain value type safe to snapshot. Bundles compare by `as_tuple()`.
+plain value type safe to snapshot. Each record is a slotted dataclass that
+compares and hashes by identity (`eq=False`); bundles compare by
+`as_tuple()`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -17,28 +20,26 @@ class Strategy(Enum):
     RBV = "RBV"
 
 
+@dataclass(slots=True, eq=False)
 class ResourceBundle:
     """Quantities of the three colored resource types a firm can hold.
 
     Components are non-negative reals; every engine operation preserves that.
     """
 
-    __slots__ = ("red", "green", "blue")
+    red: float = 0.0
+    green: float = 0.0
+    blue: float = 0.0
 
-    def __init__(self, red: float = 0.0, green: float = 0.0, blue: float = 0.0):
-        if red < 0 or green < 0 or blue < 0:
+    def __post_init__(self):
+        if self.red < 0 or self.green < 0 or self.blue < 0:
             raise ValueError("resource quantities must be non-negative")
-        self.red = red
-        self.green = green
-        self.blue = blue
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.red, self.green, self.blue)
 
-    def __repr__(self):
-        return f"ResourceBundle({self.red!r}, {self.green!r}, {self.blue!r})"
 
-
+@dataclass(slots=True, eq=False)
 class Firm:
     """One firm agent.
 
@@ -55,103 +56,61 @@ class Firm:
     `total_perf` stays frozen.
     """
 
-    __slots__ = (
-        "id",
-        "strategy",
-        "cash",
-        "resources",
-        "market",
-        "instant_perf",
-        "total_perf",
-        "alive",
-        "negative_cash_streak",
-        "revenue",
-        "cost",
-        "profit",
-    )
-
-    def __init__(
-        self,
-        id: int,
-        strategy: Strategy,
-        cash: float,
-        resources: ResourceBundle,
-    ):
-        self.id = id
-        self.strategy = strategy
-        self.cash = cash
-        self.resources = resources
-        self.market: int | None = None
-        self.instant_perf = 0.0
-        self.total_perf = 0.0
-        self.alive = True
-        # Consecutive cycles spent with cash <= 0; drives the bankruptcy rule.
-        self.negative_cash_streak = 0
-        self.revenue = 0.0
-        self.cost = 0.0
-        self.profit = 0.0
-
-    def __repr__(self):
-        return (
-            f"Firm(id={self.id}, {self.strategy.value}, cash={self.cash:.2f}, "
-            f"market={self.market}, total_perf={self.total_perf:.4f}, "
-            f"alive={self.alive})"
-        )
+    id: int
+    strategy: Strategy
+    cash: float
+    resources: ResourceBundle
+    market: int | None = field(default=None, init=False)
+    instant_perf: float = field(default=0.0, init=False)
+    total_perf: float = field(default=0.0, init=False)
+    alive: bool = field(default=True, init=False)
+    # Consecutive cycles spent with cash <= 0; drives the bankruptcy rule.
+    negative_cash_streak: int = field(default=0, init=False)
+    revenue: float = field(default=0.0, init=False)
+    cost: float = field(default=0.0, init=False)
+    profit: float = field(default=0.0, init=False)
 
 
+@dataclass(slots=True, eq=False)
 class Market:
     """A goods market with a fixed share count and entry barrier.
 
-    `shares` and `barrier` never change during a run. `occupants` counts the
-    alive firms currently attached to this market.
+    `shares` and `barrier` never change during a run. `initial_value` is
+    the `share_value` it was made with. `occupants` counts the alive firms
+    currently attached to this market.
     """
 
-    __slots__ = ("id", "shares", "share_value", "initial_value", "barrier", "occupants")
+    id: int
+    shares: int
+    share_value: float
+    initial_value: float = field(init=False)
+    barrier: ResourceBundle
+    occupants: int = field(default=0, init=False)
 
-    def __init__(self, id: int, shares: int, share_value: float, barrier: ResourceBundle):
-        if shares < 1:
+    def __post_init__(self):
+        if self.shares < 1:
             raise ValueError("share count must be >= 1")
-        if share_value <= 0:
+        if self.share_value <= 0:
             raise ValueError("share value must be positive")
-        self.id = id
-        self.shares = shares
-        self.share_value = share_value
-        self.initial_value = share_value
-        self.barrier = barrier
-        self.occupants = 0
-
-    def __repr__(self):
-        return (
-            f"Market(id={self.id}, shares={self.shares}, "
-            f"value={self.share_value:.4f}, occupants={self.occupants})"
-        )
+        self.initial_value = self.share_value
 
 
+@dataclass(slots=True, eq=False)
 class SfmState:
     """The strategic factor market: per-type stocks and prices."""
 
-    __slots__ = ("stock", "price_red", "price_green", "price_blue")
+    stock: ResourceBundle
+    price_red: float = 1.0
+    price_green: float = 1.0
+    price_blue: float = 1.0
 
-    def __init__(
-        self,
-        stock: ResourceBundle,
-        price_red: float = 1.0,
-        price_green: float = 1.0,
-        price_blue: float = 1.0,
-    ):
-        if min(price_red, price_green, price_blue) <= 0:
+    def __post_init__(self):
+        if min(self.price_red, self.price_green, self.price_blue) <= 0:
             raise ValueError("resource prices must be positive")
-        self.stock = stock
-        self.price_red = price_red
-        self.price_green = price_green
-        self.price_blue = price_blue
 
     @property
     def prices(self) -> tuple[float, float, float]:
         return (self.price_red, self.price_green, self.price_blue)
-
-    def __repr__(self):
-        return f"SfmState(prices={self.prices}, stock={self.stock!r})"
 
 
 def bundle_value(bundle: ResourceBundle, sfm: SfmState) -> float:

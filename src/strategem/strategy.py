@@ -12,8 +12,9 @@ market-id order, whose positions are the market ids, as a list or an
 array, and picks its first maximum, times a row of noise factors when
 there is one. `rbv_candidate` scans the markets, in id order, for the
 best-fitting one, and `rbv_choose_market` values the three actions
-against the candidate and the `barrier_deficit` there that it is given,
-both of which `World` remembers while the firm's bundle is unchanged.
+against the candidate and the `ResourceBundle` that `barrier_deficit`
+returns there, both given to it and both remembered by `World` while the
+firm's bundle is unchanged.
 Both choosers are pure functions of the snapshots they are given; the
 noise factors model imperfect information.
 """
@@ -107,13 +108,13 @@ def _positive_gap(need: ResourceBundle, have: ResourceBundle) -> tuple[float, fl
     return (dr if dr >= 0.0 else 0.0, dg if dg >= 0.0 else 0.0, db if db >= 0.0 else 0.0)
 
 
-def barrier_deficit(firm: Firm, market: Market) -> tuple[float, float, float]:
-    """Per-type amounts (red, green, blue) by which the firm's bundle falls
-    short of the market barrier; zero where the barrier is already met.
+def barrier_deficit(firm: Firm, market: Market) -> ResourceBundle:
+    """The bundle by which the firm's holding falls short of the market
+    barrier, per type; zero where the barrier is already met.
 
-    The amounts are `_positive_gap(barrier, holding)`.
+    Its components are `_positive_gap(barrier, holding)`.
     """
-    return _positive_gap(market.barrier, firm.resources)
+    return ResourceBundle(*_positive_gap(market.barrier, firm.resources))
 
 
 def resource_shortfall(firm: Firm, market: Market, literal_sign: bool) -> float:

@@ -273,6 +273,42 @@ class TestBatchAndAggregate:
         assert len(err.strip().splitlines()) == 1
         assert not os.path.exists(out)
 
+    def test_aggregate_of_a_batch_whose_run_0_failed_exits_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def failing_run_one(*args, **kwargs):
+            raise ArithmeticError("boom")
+
+        monkeypatch.setattr(experiment, "run_one", failing_run_one)
+        out = str(tmp_path / "out")
+        assert main(["batch", "--runs", "2", *SMALL, "--out", out]) == 2
+        runs_csv = os.path.join(out, "runs.csv")
+        assert len(open(runs_csv).readlines()) == 1  # the header alone
+        capsys.readouterr()
+        agg = str(tmp_path / "agg")
+        assert main(["aggregate", runs_csv, "--out", agg]) == 1
+        err = capsys.readouterr().err
+        assert runs_csv in err and "no runs" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not os.path.exists(agg)
+
+    def test_aggregate_that_cannot_write_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["batch", "--runs", "1", *SMALL, "--out", out]) == 0
+        capsys.readouterr()
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        # `batch` into the same path fails the same way.
+        for argv in (
+            ["aggregate", os.path.join(out, "runs.csv"), "--out", str(taken)],
+            ["batch", "--runs", "1", *SMALL, "--out", str(taken)],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("runtime error: ")
+            assert len(err.strip().splitlines()) == 1
+        assert taken.read_text() == "a file, not a directory\n"
+
     def test_batch_with_two_workers(self, tmp_path):
         # 5 runs at parallelism 2 start both workers, each taking one run at a time.
         out = str(tmp_path / "out")

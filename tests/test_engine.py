@@ -369,7 +369,7 @@ class TestStepCycle:
         market.barrier = ResourceBundle(*barrier)
         for firm in world.firms:
             firm.resources = ResourceBundle(*holdings)
-        assert max(barrier_deficit(world.firms[0], market)) <= 0.0
+        assert max(barrier_deficit(world.firms[0], market).as_tuple()) <= 0.0
         stock_before = world.sfm.stock.as_tuple()
         world.step_cycle()
         assert buys == []
@@ -404,7 +404,7 @@ class TestStepCycle:
         market.barrier = ResourceBundle(*barrier)
         for firm in world.firms:
             firm.resources = ResourceBundle(*holdings)
-        deficit = barrier_deficit(world.firms[0], market)
+        deficit = barrier_deficit(world.firms[0], market).as_tuple()
         assert max(deficit) > 0.0
         cost = bundle_value(ResourceBundle(*deficit), world.sfm)
         assert cost == pytest.approx(0.01 * sum(deficit), rel=1e-12)
@@ -759,7 +759,8 @@ class TestCycleMechanics:
 
         def checking(firm, candidate, deficit, *args):
             assert candidate is rbv_candidate(firm, world.markets, literal_sign)
-            assert _signed(deficit.as_tuple()) == _signed(barrier_deficit(firm, candidate))
+            fresh = barrier_deficit(firm, candidate)
+            assert _signed(deficit.as_tuple()) == _signed(fresh.as_tuple())
             chosen.append(firm.id)
             return rbv_choose_market(firm, candidate, deficit, *args)
 

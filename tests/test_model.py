@@ -1,5 +1,9 @@
 """Domain-type examples and invariants: bundles, asset valuation, config."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -76,6 +80,75 @@ class TestSfmState:
     def test_rejects_nonpositive_prices(self):
         with pytest.raises(ValueError):
             SfmState(ResourceBundle(), price_red=0.0)
+
+
+def make_records():
+    """One record of each class, with every field off its default."""
+    firm = Firm(3, Strategy.RBV, 12.5, ResourceBundle(1.0, 2.0, 0.5))
+    for name, value in (
+        ("market", 1), ("instant_perf", 0.25), ("total_perf", -1.5), ("alive", False),
+        ("negative_cash_streak", 2), ("revenue", 4.0), ("cost", 3.0), ("profit", 1.0),
+    ):
+        setattr(firm, name, value)
+    market = Market(1, 7, 2.5, ResourceBundle(4.0, 0.0, 9.0))
+    market.share_value, market.occupants = 1.75, 5
+    sfm = SfmState(ResourceBundle(10.0, 20.0, 30.0), 1.5, 0.5, 2.0)
+    return [ResourceBundle(0.5, 0.0, 8.0), firm, market, sfm]
+
+
+RECORD_IDS = ["ResourceBundle", "Firm", "Market", "SfmState"]
+
+
+class TestRecordSemantics:
+    """The engine tells records apart by identity, mutates them in place,
+    and never adds an attribute."""
+
+    @pytest.mark.parametrize("index", range(4), ids=RECORD_IDS)
+    def test_equal_fields_are_unequal_and_hash_by_identity(self, index):
+        record, twin = make_records()[index], make_records()[index]
+        assert dataclasses.astuple(record) == dataclasses.astuple(twin)
+        assert record != twin
+        assert record == record
+        assert hash(record) == object.__hash__(record)
+        assert len({record, twin}) == 2
+
+    @pytest.mark.parametrize("index", range(4), ids=RECORD_IDS)
+    def test_unknown_attribute_is_rejected(self, index):
+        record = make_records()[index]
+        with pytest.raises(AttributeError):
+            record.colour = "red"
+        assert not hasattr(record, "__dict__")
+
+    def test_new_firm_is_alive_outside_any_market_with_zero_books(self):
+        firm = Firm(0, Strategy.IO, 10.0, ResourceBundle())
+        assert firm.alive is True
+        assert firm.market is None
+        assert firm.negative_cash_streak == 0
+        for name in ("instant_perf", "total_perf", "revenue", "cost", "profit"):
+            assert getattr(firm, name) == 0.0
+
+    def test_market_derives_initial_value_and_starts_empty(self):
+        market = Market(2, 10, 3.25, ResourceBundle(1.0, 1.0, 1.0))
+        assert market.initial_value == 3.25
+        assert market.occupants == 0
+        with pytest.raises(TypeError):
+            Market(2, 10, 3.25, ResourceBundle(), initial_value=1.0)
+        with pytest.raises(TypeError):
+            Market(2, 10, 3.25, ResourceBundle(), occupants=1)
+
+    @pytest.mark.parametrize("index", range(4), ids=RECORD_IDS)
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda record: pickle.loads(pickle.dumps(record)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_pickle_and_deepcopy_keep_every_field(self, index, clone):
+        record = make_records()[index]
+        copied = clone(record)
+        assert copied is not record and type(copied) is type(record)
+        assert dataclasses.astuple(copied) == dataclasses.astuple(record)
+        for f in dataclasses.fields(record):
+            assert type(getattr(copied, f.name)) is type(getattr(record, f.name))
 
 
 class TestSimConfig:
