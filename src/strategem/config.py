@@ -1,9 +1,9 @@
 """The run configuration (`SimConfig`, `BatchConfig` and their bounds) and
 its flat INI form: [sim] and [batch] sections keyed by the field names.
 
-`SECTIONS` holds each field's declared type and drives parsing, dumping
-and `validate()`; `DOMAINS` holds the interval each field's value, or
-each element of its tuple, must lie in. A value is parsed by its type
+Each field declares its interval with its default; `DOMAINS` maps each
+field to it, and `SECTIONS` holds each field's declared type and drives
+parsing, dumping and `validate()`. A value is parsed by its type
 (`none` only where the type admits None, a tuple only at its declared
 length), and `validate()` accepts a value only if its own INI round trip
 gives it back unchanged, so a valid config dumps to text that loads back
@@ -16,7 +16,7 @@ from __future__ import annotations
 import configparser
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class ConfigError(ValueError):
@@ -35,45 +35,18 @@ MAX_RATE = 1e6
 # runs 8.
 MAX_PARALLELISM = 64
 
-# Field -> the interval (left bracket, lower end, upper end, right bracket)
-# that its value, or each element of its tuple, must lie in. A round bracket
-# excludes its end, so only `initial_stock` may be infinite (unlimited
-# supply). The lower ends keep a run from dividing by zero (1 + crowding *
-# occupants), from driving share values or factor prices to zero or below,
-# and from failing while the world is built. The mix alphas stop at
-# MAX_SCALE because numpy's `dirichlet` returns [0, 0, 0] from 1e308 on, so
-# every barrier or bundle would be (0, 0, 0) instead of summing to its drawn
-# total.
-DOMAINS = {
-    "n_firms": ("[", 1, math.inf, ")"),
-    "n_markets": ("[", 1, math.inf, ")"),
-    "n_cycles": ("[", 0, math.inf, ")"),
-    "market_size_choices": ("[", 1, MAX_SCALE, "]"),
-    "initial_cash": ("[", 0, MAX_SCALE, "]"),
-    "resource_init_range": ("[", 0, MAX_SCALE, "]"),
-    "barrier_range": ("[", 0, MAX_SCALE, "]"),
-    "barrier_sum_range": ("[", 0, MAX_SCALE, "]"),
-    "resource_sum_range": ("[", 0, MAX_SCALE, "]"),
-    "barrier_mix_alpha": ("(", 0, MAX_SCALE, "]"),
-    "resource_mix_alpha": ("(", 0, MAX_SCALE, "]"),
-    "noise_amplitude": ("[", 0, 1, ")"),
-    "maintenance_rate": ("[", 0, 1, ")"),
-    "checkpoint_cycles": ("[", 1, math.inf, ")"),
-    "share_value_range": ("(", 0, MAX_SCALE, "]"),
-    "crowding": ("[", 0, math.inf, ")"),
-    "value_noise": ("[", -MAX_RATE, MAX_RATE, "]"),
-    "value_floor": ("(", 0, MAX_SCALE, "]"),
-    "initial_price": ("(", 0, MAX_SCALE, "]"),
-    "initial_stock": ("[", 0, math.inf, "]"),
-    "price_alpha": ("[", -MAX_RATE, MAX_RATE, "]"),
-    "price_floor": ("(", 0, MAX_SCALE, "]"),
-    "output_fraction": ("[", -MAX_RATE, MAX_RATE, "]"),
-    "bankruptcy_grace": ("[", 1, math.inf, ")"),
-    "literal_distance_sign": ("[", 0, 1, "]"),
-    "n_runs": ("[", 1, math.inf, ")"),
-    "base_seed": ("[", 0, math.inf, ")"),
-    "parallelism": ("[", 1, MAX_PARALLELISM, "]"),
-}
+
+def _within(default, left: str, lo: float, hi: float, right: str):
+    """A field defaulting to `default` whose value, or each element of its
+    tuple, must lie in the interval (left bracket, lower end, upper end,
+    right bracket), recorded as its `domain` metadata for `DOMAINS`.
+
+    A round bracket excludes its end, so only `initial_stock` may be
+    infinite (unlimited supply). The lower ends keep a run from dividing by
+    zero (1 + crowding * occupants), from driving share values or factor
+    prices to zero or below, and from failing while the world is built.
+    """
+    return field(default=default, metadata={"domain": (left, lo, hi, right)})
 
 
 @dataclass
@@ -84,48 +57,50 @@ class SimConfig:
     20 markets of size 10/100/1000, 200 cycles, checkpoints at 20 and 200.
     """
 
-    n_firms: int = 200
-    n_markets: int = 20
-    n_cycles: int = 200
-    market_size_choices: tuple[int, ...] = (10, 100, 1000)
-    initial_cash: float = 1000.0
-    resource_init_range: tuple[float, float] = (0.0, 100.0)
-    barrier_range: tuple[float, float] = (0.0, 100.0)
+    n_firms: int = _within(200, "[", 1, math.inf, ")")
+    n_markets: int = _within(20, "[", 1, math.inf, ")")
+    n_cycles: int = _within(200, "[", 0, math.inf, ")")
+    market_size_choices: tuple[int, ...] = _within((10, 100, 1000), "[", 1, MAX_SCALE, "]")
+    initial_cash: float = _within(1000.0, "[", 0, MAX_SCALE, "]")
+    resource_init_range: tuple[float, float] = _within((0.0, 100.0), "[", 0, MAX_SCALE, "]")
+    barrier_range: tuple[float, float] = _within((0.0, 100.0), "[", 0, MAX_SCALE, "]")
     # When set, barriers are drawn as a uniform random mix (simplex
     # direction) scaled to a total drawn from this interval, so every
     # market demands a comparable resource budget but a different blend.
-    barrier_sum_range: tuple[float, float] | None = (220.0, 350.0)
+    barrier_sum_range: tuple[float, float] | None = _within((220.0, 350.0), "[", 0, MAX_SCALE, "]")
     # Same scheme for firms' initial bundles: specialists with diverse
     # resource mixes rather than bundles clustered around the cube center.
-    resource_sum_range: tuple[float, float] | None = (60.0, 160.0)
+    resource_sum_range: tuple[float, float] | None = _within((60.0, 160.0), "[", 0, MAX_SCALE, "]")
     # Dirichlet concentration for the simplex mixes above. Values below 1
     # push draws toward the corners (stronger specialisation), values
-    # above 1 pull them toward an even blend.
-    barrier_mix_alpha: float = 1.0
-    resource_mix_alpha: float = 0.55
-    noise_amplitude: float = 0.3
-    maintenance_rate: float = 0.001
-    checkpoint_cycles: tuple[int, ...] = (20, 200)
+    # above 1 pull them toward an even blend. They stop at MAX_SCALE because
+    # numpy's `dirichlet` returns [0, 0, 0] from 1e308 on, so every barrier
+    # or bundle would be (0, 0, 0) instead of summing to its drawn total.
+    barrier_mix_alpha: float = _within(1.0, "(", 0, MAX_SCALE, "]")
+    resource_mix_alpha: float = _within(0.55, "(", 0, MAX_SCALE, "]")
+    noise_amplitude: float = _within(0.3, "[", 0, 1, ")")
+    maintenance_rate: float = _within(0.001, "[", 0, 1, ")")
+    checkpoint_cycles: tuple[int, ...] = _within((20, 200), "[", 1, math.inf, ")")
 
     # Market value dynamics
-    share_value_range: tuple[float, float] = (0.5, 2.0)
-    crowding: float = 0.15
-    value_noise: float = 0.2
-    value_floor: float = 0.01
+    share_value_range: tuple[float, float] = _within((0.5, 2.0), "(", 0, MAX_SCALE, "]")
+    crowding: float = _within(0.15, "[", 0, math.inf, ")")
+    value_noise: float = _within(0.2, "[", -MAX_RATE, MAX_RATE, "]")
+    value_floor: float = _within(0.01, "(", 0, MAX_SCALE, "]")
 
     # Strategic factor market
-    initial_price: float = 0.01
-    initial_stock: float = 1e6
-    price_alpha: float = 0.2
-    price_floor: float = 0.01
+    initial_price: float = _within(0.01, "(", 0, MAX_SCALE, "]")
+    initial_stock: float = _within(1e6, "[", 0, math.inf, "]")
+    price_alpha: float = _within(0.2, "[", -MAX_RATE, MAX_RATE, "]")
+    price_floor: float = _within(0.01, "(", 0, MAX_SCALE, "]")
 
     # RBV action valuation and survival
-    output_fraction: float = 0.05
-    bankruptcy_grace: int = 10
+    output_fraction: float = _within(0.05, "[", -MAX_RATE, MAX_RATE, "]")
+    bankruptcy_grace: int = _within(10, "[", 1, math.inf, ")")
 
     # Restores the literal sign max(r - R, 0) in the entry-distance formula
     # for comparison runs; the default orientation is the shortfall max(R - r, 0).
-    literal_distance_sign: bool = False
+    literal_distance_sign: bool = _within(False, "[", 0, 1, "]")
 
     def validate(self) -> None:
         _check(self, "sim")
@@ -137,15 +112,21 @@ class SimConfig:
 
 @dataclass
 class BatchConfig:
-    n_runs: int = 1008
-    base_seed: int = 0
+    n_runs: int = _within(1008, "[", 1, math.inf, ")")
+    base_seed: int = _within(0, "[", 0, math.inf, ")")
     sim: SimConfig = field(default_factory=SimConfig)
-    parallelism: int = 1
+    parallelism: int = _within(1, "[", 1, MAX_PARALLELISM, "]")
 
     def validate(self) -> None:
         _check(self, "batch")
         self.sim.validate()
 
+
+# Field -> the interval that its value, or each element of its tuple, must
+# lie in, in field order; see `_within`.
+DOMAINS = {
+    f.name: f.metadata["domain"] for c in (SimConfig, BatchConfig) for f in fields(c) if f.metadata
+}
 
 # Section -> its keys' declared types, in field order. `BatchConfig.sim` is
 # the [sim] section, not a key of [batch].
@@ -261,6 +242,8 @@ def load_config(path: str | None = None) -> BatchConfig:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError("unknown config section [DEFAULT]")
     for section in parser.sections():
         if section not in SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")

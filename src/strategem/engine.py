@@ -219,9 +219,9 @@ class World:
         self.cycle = 0
         self.markets = self._init_markets()
         self.firms = self._init_firms()
-        # RBV firm id -> (bundle, its rbv_candidate market, its barrier_deficit
-        # there); see `_act`
-        self.rbv_candidates: dict[int, tuple[tuple[float, ...], Market, ResourceBundle]] = {}
+        # RBV firm id -> (its rbv_candidate market, its barrier_deficit
+        # there), until it sells a resource; see `_act`
+        self.rbv_candidates: dict[int, tuple[Market, ResourceBundle]] = {}
         self.sfm = SfmState(
             stock=ResourceBundle(
                 config.initial_stock, config.initial_stock, config.initial_stock
@@ -340,15 +340,14 @@ class World:
         candidate market of `strategy.rbv_candidate` and the firm's
         `strategy.barrier_deficit` there, the `ResourceBundle` that it
         returns and the chooser prices. `World.rbv_candidates` remembers
-        both for the bundle they were found for, so the many output sales
-        by firms whose bundle has not moved rebuild neither. Both depend only on the bundle, the
-        barriers and `literal_distance_sign`; barriers are drawn once in
-        `_init_markets` and the sign is fixed per run, so a bundle key is
-        enough. A firm whose bundle differs from its key, after any trade, is
-        scanned afresh; the key is the bundle's values, so no trade path has
-        to clear it. (Bundles equal in value can differ in a zero's sign, and
-        their deficits then only at a `-0.0` barrier component, which
-        `_draw_bundle` never draws.)
+        both per firm, so the many output sales and idle cycles rebuild
+        neither. Both depend only on the bundle, the barriers and
+        `literal_distance_sign`; barriers are drawn once in `_init_markets`
+        and the sign is fixed per run, so they hold while the bundle does.
+        An unattached RBV firm's bundle moves only through its resource
+        sale, which clears its entry: a purchase moves all of the deficit or
+        nothing, and one that moves it always ends in a join, after which the
+        firm never acts unattached again.
 
         Both strategies enter through one block at the end of the loop. It
         buys only when the bundle is short of the barrier in some component,
@@ -401,13 +400,11 @@ class World:
             else:
                 noise = rbv_noise(pos) if k else 1.0
                 pos += 1
-                bundle = firm.resources.as_tuple()
                 memo = candidates.get(firm.id)
-                if memo is None or memo[0] != bundle:
+                if memo is None:
                     candidate = rbv_candidate(firm, markets, literal_sign)
-                    deficit = barrier_deficit(firm, candidate)
-                    memo = candidates[firm.id] = (bundle, candidate, deficit)
-                choice = rbv_choose_market(firm, memo[1], memo[2], sfm, output_fraction, noise)
+                    memo = candidates[firm.id] = (candidate, barrier_deficit(firm, candidate))
+                choice = rbv_choose_market(firm, *memo, sfm, output_fraction, noise)
                 action = choice.action
                 if action is not ENTER:
                     if action is SELL_RESOURCE:
@@ -419,6 +416,7 @@ class World:
                             res.blue if kind == 2 else 0.0,
                         )
                         sfm_sell(firm, offer, sfm)
+                        del candidates[firm.id]
                         supply_red += offer.red
                         supply_green += offer.green
                         supply_blue += offer.blue
@@ -549,7 +547,8 @@ def write_trace_rows(
     per market for this call, as the occupants of a market hold its one
     payout float. NaN is blank because the cycle's text drops "nan", which
     `%.17g` prints for every NaN; beside "IO", "RBV", "true", "false" and
-    the exponent "e", the text's only letters are those of "nan" and "inf".
+    the exponent "e", the text's only letters are those of "nan" and "inf",
+    so a text with no "n" skips the scan for "nan", a hundredfold costlier.
     The float columns start as floats (`_init_firms` converts
     `initial_cash`) and the engine stores only floats in them.
     """
@@ -585,4 +584,4 @@ def write_trace_rows(
             "true" if firm.alive else "false",
         )
     text = (prefix + _TRACE_ROW) * len(world.firms) % tuple(values)
-    out.write(text.replace("nan", ""))
+    out.write(text.replace("nan", "") if "n" in text else text)

@@ -13,8 +13,9 @@ array, and picks its first maximum, times a row of noise factors when
 there is one. `rbv_candidate` scans the markets, in id order, for the
 best-fitting one, and `rbv_choose_market` values the three actions
 against the candidate and the `ResourceBundle` that `barrier_deficit`
-returns there, both given to it and both remembered by `World` while the
-firm's bundle is unchanged.
+returns there, both given to it and both remembered by `World` until the
+firm sells a resource, the one trade that moves an unattached RBV firm's
+bundle without a join.
 Both choosers are pure functions of the snapshots they are given; the
 noise factors model imperfect information.
 """

@@ -7,6 +7,7 @@ one 100-run batch at the default configuration and base seed.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_criterion_1_determinism(tmp_path):
         run_batch(batch, out_dir=out)
         times[workers] = time.perf_counter() - start
         outputs[workers] = {
-            name: open(os.path.join(out, name), "rb").read()
+            name: Path(out, name).read_bytes()
             for name in ("runs.csv", "aggregate.csv")
         }
     identical = outputs[1] == outputs[8]

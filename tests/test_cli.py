@@ -2,6 +2,7 @@
 
 import csv
 import os
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +80,24 @@ class TestValidate:
         assert err.startswith("config error: [sim] n_firms: bad value '5%'")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\nn_firms = 10\nn_runs = 3\n",
+            "[DEFAULT]\nn_firms = 10\n[sim]\nn_markets = 5\n",
+            "[DEFAULT]\nn_cycles = 5\n[sim]\nn_markets = 5\n[batch]\nn_runs = 3\n",
+        ],
+        ids=["alone", "with-sim", "with-sim-and-batch"],
+    )
+    def test_default_section_exits_1(self, tmp_path, capsys, text):
+        # configparser would copy [DEFAULT] keys into every section, or
+        # drop them where there is none.
+        path = tmp_path / "default.ini"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: unknown config section [DEFAULT]\n"
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("override", OUT_OF_RANGE)
     def test_out_of_range_value_exits_1(self, tmp_path, capsys, command, override):
@@ -101,7 +120,7 @@ class TestValidate:
         echo = os.path.join(out, "effective_config.ini")
         loaded = load_config(echo)
         assert loaded.sim.checkpoint_cycles == (5,)
-        assert dump_config(loaded) == open(echo).read()
+        assert dump_config(loaded) == Path(echo).read_text()
 
     def test_shortcuts_apply_before_set(self, capsys):
         assert main(["validate", "--seed", "3", "--set", "batch.base_seed=4"]) == 0
@@ -112,7 +131,7 @@ class TestRun:
     def test_zero_cycle_run_traces_initialization_only(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert main(["run", "--seed", "42", "--cycles", "0", "--out", out]) == 0
-        lines = open(os.path.join(out, "traces", "run_0.csv")).read().splitlines()
+        lines = Path(out, "traces", "run_0.csv").read_text().splitlines()
         assert len(lines) == 1 + 200  # header + one row per firm, no cycles
         assert os.path.exists(os.path.join(out, "effective_config.ini"))
 
@@ -174,7 +193,7 @@ class TestRun:
         }
         with open(os.path.join(out, "runs.csv")) as fh:
             assert len(fh.readlines()) == 2
-        echo = open(os.path.join(out, "effective_config.ini")).read()
+        echo = Path(out, "effective_config.ini").read_text()
         assert "n_runs = 1\n" in echo and "parallelism = 8\n" in echo
 
     def test_failing_run_names_run_0_and_its_seed(self, tmp_path, capsys, monkeypatch):
@@ -200,7 +219,7 @@ class TestBatchAndAggregate:
                  "--set", "sim.checkpoint_cycles=3, 6"]
             )
             assert code == 0
-            batch_bytes = open(os.path.join(out, "aggregate.csv"), "rb").read()
+            batch_bytes = Path(out, "aggregate.csv").read_bytes()
             if cycles == "0":
                 with open(os.path.join(out, "runs.csv")) as fh:
                     assert next(csv.DictReader(fh))["c0_rd_best"] == ""
@@ -208,12 +227,12 @@ class TestBatchAndAggregate:
             out2 = str(tmp_path / f"agg{cycles}")
             code = main(["aggregate", os.path.join(out, "runs.csv"), "--out", out2])
             assert code == 0
-            agg_bytes = open(os.path.join(out2, "aggregate.csv"), "rb").read()
+            agg_bytes = Path(out2, "aggregate.csv").read_bytes()
             assert agg_bytes == batch_bytes
 
             # idempotence: aggregating again changes nothing
             assert main(["aggregate", os.path.join(out, "runs.csv"), "--out", out2]) == 0
-            assert open(os.path.join(out2, "aggregate.csv"), "rb").read() == agg_bytes
+            assert Path(out2, "aggregate.csv").read_bytes() == agg_bytes
 
     def test_a_batch_leaves_only_its_own_traces(self, tmp_path):
         out = str(tmp_path / "out")
@@ -230,7 +249,7 @@ class TestBatchAndAggregate:
         batch = BatchConfig(n_runs=3, base_seed=7, sim=SimConfig(n_firms=10, n_cycles=5))
         experiment.run_batch(batch, out_dir=out)
         echo = os.path.join(out, "effective_config.ini")
-        assert open(echo).read() == dump_config(batch)
+        assert Path(echo).read_text() == dump_config(batch)
         assert load_config(echo) == batch
 
     def test_aggregate_missing_input_exits_1(self, tmp_path, capsys):
@@ -283,7 +302,7 @@ class TestBatchAndAggregate:
         out = str(tmp_path / "out")
         assert main(["batch", "--runs", "2", *SMALL, "--out", out]) == 2
         runs_csv = os.path.join(out, "runs.csv")
-        assert len(open(runs_csv).readlines()) == 1  # the header alone
+        assert len(Path(runs_csv).read_text().splitlines()) == 1  # the header alone
         capsys.readouterr()
         agg = str(tmp_path / "agg")
         assert main(["aggregate", runs_csv, "--out", agg]) == 1
@@ -318,7 +337,7 @@ class TestBatchAndAggregate:
              "--set", "sim.checkpoint_cycles=3"]
         )
         assert code == 0
-        assert "parallelism = 2\n" in open(os.path.join(out, "effective_config.ini")).read()
+        assert "parallelism = 2\n" in Path(out, "effective_config.ini").read_text()
 
     def test_bad_override_exits_1(self, tmp_path, capsys):
         # a tiny batch, so a wrongly accepted override cannot start a big one

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,7 +226,7 @@ class TestRunBatch:
             )
             run_batch(batch, out_dir=out)
             outputs[workers] = {
-                name: open(os.path.join(out, name), "rb").read()
+                name: Path(out, name).read_bytes()
                 for name in ("runs.csv", "aggregate.csv")
             }
         assert outputs[1] == outputs[2]
